@@ -312,10 +312,6 @@ def strip_unsupported_kwargs(fn: Algorithm, kwargs: Dict) -> Dict:
     return {k: v for k, v in kwargs.items() if k in accepted}
 
 
-#: Back-compat alias for the previously private name.
-_strip_unsupported_kwargs = strip_unsupported_kwargs
-
-
 def _resolve_auto(
     query: JoinQuery, kwargs: Dict, choice=None, stats=None
 ) -> Tuple[str, Algorithm, Dict]:
@@ -340,7 +336,7 @@ def _resolve_auto(
     if _applicable(name, query):
         return name, _REGISTRY[name], kwargs
     fallback = _REGISTRY["hybrid"]
-    return "hybrid", fallback, _strip_unsupported_kwargs(fallback, kwargs)
+    return "hybrid", fallback, strip_unsupported_kwargs(fallback, kwargs)
 
 
 def _binary_predicate_join(

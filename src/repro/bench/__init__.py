@@ -4,14 +4,12 @@ from .harness import (
     Measurement,
     compare_algorithms,
     measure,
-    measure_scaling,
     scaling_exponent,
 )
 from .reporting import (
     format_bytes,
     format_seconds,
     render_ratio_table,
-    render_scaling_table,
     render_series,
     render_table,
 )
@@ -22,9 +20,7 @@ __all__ = [
     "format_bytes",
     "format_seconds",
     "measure",
-    "measure_scaling",
     "render_ratio_table",
-    "render_scaling_table",
     "render_series",
     "render_table",
     "scaling_exponent",

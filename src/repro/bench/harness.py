@@ -185,49 +185,6 @@ def compare_algorithms(
     return measurements
 
 
-def measure_scaling(
-    algorithm: str,
-    query: JoinQuery,
-    database: Mapping[str, TemporalRelation],
-    tau: Number = 0,
-    workers_list: Sequence[int] = (1, 2, 4, 8),
-    repeat: int = 1,
-    parallel_mode: str = "process",
-    measure_memory: bool = False,
-    collect_stats: bool = False,
-    validate: bool = True,
-) -> List[Measurement]:
-    """One algorithm at several worker counts — the parallel-speedup curve.
-
-    Returns one :class:`Measurement` per entry of ``workers_list`` (in
-    order; ``workers == 1`` is the serial anchor every speedup is
-    relative to). With ``validate=True`` each parallel cell is checked
-    against the serial result and flagged ``ok=False`` on mismatch —
-    a scaling table over wrong answers is worse than no table.
-    """
-    measurements: List[Measurement] = []
-    reference: Optional[List] = None
-    for w in workers_list:
-        m = measure(
-            algorithm, query, database, tau=tau,
-            measure_memory=measure_memory, repeat=repeat,
-            collect_stats=collect_stats,
-            workers=w, parallel_mode=parallel_mode,
-        )
-        if validate:
-            got = temporal_join(
-                query, database, tau=tau, algorithm=algorithm,
-                workers=w, parallel_mode=parallel_mode,
-            ).normalized()
-            if reference is None:
-                reference = got
-            elif got != reference:
-                m.ok = False
-                m.note = f"RESULT MISMATCH vs workers={measurements[0].workers}"
-        measurements.append(m)
-    return measurements
-
-
 def scaling_exponent(sizes: Sequence[int], times: Sequence[float]) -> float:
     """Least-squares slope of log(time) vs log(N) — the measured exponent.
 

@@ -157,46 +157,6 @@ def render_stats_table(
     return "\n".join(lines)
 
 
-def render_scaling_table(
-    title: str,
-    rows: Mapping[str, Sequence[Measurement]],
-) -> str:
-    """Parallel-speedup table: one row per algorithm, one column per workers.
-
-    ``rows`` maps an algorithm name to its
-    :func:`~repro.bench.harness.measure_scaling` output. Each cell shows
-    the wall time and the speedup over that algorithm's ``workers == 1``
-    anchor (``×1.0`` by construction); cells whose results failed
-    cross-validation render as ``MISMATCH``.
-    """
-    workers: List[int] = []
-    for ms in rows.values():
-        for m in ms:
-            if m.workers not in workers:
-                workers.append(m.workers)
-    workers.sort()
-    header = ["algorithm"] + [f"workers={w}" for w in workers]
-    lines = [title, "=" * len(title), " | ".join(f"{h:>18}" for h in header)]
-    lines.append("-" * (21 * len(header)))
-    for name, ms in rows.items():
-        by_workers = {m.workers: m for m in ms}
-        anchor = by_workers.get(1)
-        cells = [f"{name:>18}"]
-        for w in workers:
-            m = by_workers.get(w)
-            if m is None:
-                cells.append(f"{'n/a':>18}")
-            elif not m.ok:
-                cells.append(f"{'MISMATCH':>18}")
-            else:
-                cell = format_seconds(m.seconds)
-                if anchor is not None and anchor.ok and m.seconds > 0:
-                    cell += f" (×{anchor.seconds / m.seconds:.2f})"
-                cells.append(f"{cell:>18}")
-        lines.append(" | ".join(cells))
-    return "\n".join(lines)
-
-
 def render_series(
     title: str,
     xs: Sequence[object],

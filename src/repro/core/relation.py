@@ -83,7 +83,14 @@ class TemporalRelation:
                     f"for relation {name!r}{self.attrs}"
                 )
             if seen is not None:
-                if vt in seen:
+                try:
+                    duplicate = vt in seen
+                except TypeError:
+                    raise SchemaError(
+                        f"tuple {vt} in relation {name!r} holds an unhashable "
+                        "value; attribute values must be hashable"
+                    ) from None
+                if duplicate:
                     raise SchemaError(
                         f"duplicate tuple {vt} in relation {name!r}; the model "
                         "requires distinct tuples (use IntervalSet explosion "

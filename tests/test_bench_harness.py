@@ -6,14 +6,12 @@ from repro.bench.harness import (
     Measurement,
     compare_algorithms,
     measure,
-    measure_scaling,
     scaling_exponent,
 )
 from repro.bench.reporting import (
     format_bytes,
     format_seconds,
     render_ratio_table,
-    render_scaling_table,
     render_series,
     render_stats_table,
     render_table,
@@ -141,36 +139,6 @@ class TestCompareSharedKwargs:
         assert all(m.ok for m in ms)
         assert len({m.result_count for m in ms}) == 1
         assert all(m.workers == 2 for m in ms)
-
-
-class TestMeasureScaling:
-    def test_scaling_cells_agree_and_carry_workers(self, rng):
-        q = JoinQuery.line(3)
-        db = random_database(q, rng, n=12, domain=3)
-        ms = measure_scaling(
-            "timefirst", q, db, workers_list=(1, 2, 3),
-            parallel_mode="inline",
-        )
-        assert [m.workers for m in ms] == [1, 2, 3]
-        assert all(m.ok for m in ms)
-        assert len({m.result_count for m in ms}) == 1
-
-    def test_render_scaling_table(self, rng):
-        q = JoinQuery.line(2)
-        db = random_database(q, rng, n=10, domain=3)
-        ms = measure_scaling(
-            "timefirst", q, db, workers_list=(1, 2), parallel_mode="inline"
-        )
-        text = render_scaling_table("Scaling", {"timefirst": ms})
-        assert "workers=1" in text and "workers=2" in text
-        assert "×1.00" in text  # the serial anchor's own speedup
-
-    def test_render_scaling_table_flags_mismatch(self):
-        a = Measurement("x", 0.2, 0, 5, 50, 0, workers=1)
-        b = Measurement("x", 0.1, 0, 5, 50, 0, workers=2, ok=False,
-                        note="RESULT MISMATCH vs workers=1")
-        text = render_scaling_table("Scaling", {"x": [a, b]})
-        assert "MISMATCH" in text
 
 
 class TestScalingExponent:

@@ -152,7 +152,7 @@ class TestAutoFallback:
         def fn_with_kwargs(query, database, tau=0, **kwargs):
             pass  # pragma: no cover - signature only
 
-        kept = registry._strip_unsupported_kwargs(
+        kept = registry.strip_unsupported_kwargs(
             fn_with_kwargs, {"anything": 1, "goes": 2}
         )
         assert kept == {"anything": 1, "goes": 2}
@@ -161,7 +161,7 @@ class TestAutoFallback:
         def fn(query, database, tau=0, mode="a"):
             pass  # pragma: no cover - signature only
 
-        kept = registry._strip_unsupported_kwargs(
+        kept = registry.strip_unsupported_kwargs(
             fn, {"mode": "b", "residual_strategy": "sweep"}
         )
         assert kept == {"mode": "b"}

@@ -50,6 +50,10 @@ class TestConstruction:
                 "R", ("a",), [((1,), (0, 1)), ((1,), (2, 3))]
             )
 
+    def test_unhashable_value_rejected_with_schema_error(self):
+        with pytest.raises(SchemaError, match=r"\(\[1\], 2\) in relation 'R'"):
+            TemporalRelation("R", ("a", "b"), [(([1], 2), Interval(0, 1))])
+
     def test_duplicates_allowed_when_unchecked(self):
         rel = TemporalRelation(
             "R", ("a",), [((1,), (0, 1)), ((1,), (2, 3))], check_distinct=False
