@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
@@ -121,39 +122,19 @@ def _ensure_loaded() -> None:
 
     _REGISTRY.setdefault("timefirst", timefirst_join)
 
-    def timefirst_cm(query, database, tau=0, stats=None, **kwargs):
+    def timefirst_cm(query, database, tau=0, stats=None):
         """TIMEFIRST with the comparison-model §3.2 structure.
 
         Only applicable to (r-)hierarchical queries with totally ordered
         attribute domains; registered for the data-structure ablation.
-        Merely r-hierarchical queries go through the footnote-2 instance
-        reduction first, like the hashed variant.
+        ``timefirst_join`` applies the footnote-2 instance reduction to
+        merely r-hierarchical queries before building the state, like
+        the hashed variant.
         """
-        from ..core.classification import reduce_instance
-        from ..core.durability import shrink_database
-        from ..core.query import JoinQuery
-
-        factory = lambda q, db: ComparisonHierarchicalState(q, stats=stats)  # noqa: E731
-        if not query.is_hierarchical and query.is_r_hierarchical:
-            reduced_hg, reduced_db = reduce_instance(
-                query.hypergraph, shrink_database(database, tau)
-            )
-            reduced_query = JoinQuery(
-                {n: reduced_hg.edge(n) for n in reduced_hg.edge_names},
-                attr_order=query.attrs,
-            )
-            result = timefirst_join(
-                reduced_query, reduced_db,
-                state_factory=factory,
-                stats=stats,
-                **kwargs,
-            )
-            return result.expand_intervals(tau / 2 if tau else 0)
         return timefirst_join(
             query, database, tau=tau,
-            state_factory=factory,
+            state_factory=lambda q, db: ComparisonHierarchicalState(q, stats=stats),
             stats=stats,
-            **kwargs,
         )
 
     _REGISTRY.setdefault("timefirst-cm", timefirst_cm)
@@ -189,6 +170,48 @@ def _check_tau(tau: Number) -> None:
         raise QueryError(f"tau must be non-negative, got {tau!r}")
 
 
+#: Execution modes of the sharded engine (``parallel_mode=``); defined
+#: here so serial calls can validate it without importing
+#: :mod:`repro.parallel` (re-exported there as ``MODES``).
+PARALLEL_MODES = ("process", "inline")
+
+
+def _check_parallel(workers: Optional[int], parallel_mode: str) -> None:
+    """Reject bad ``workers`` / ``parallel_mode`` values at the API boundary.
+
+    ``workers`` is ``None`` (serial) or an integer >= 1 — never a bool,
+    float or string; ``parallel_mode`` is one of :data:`PARALLEL_MODES`
+    whether or not ``workers`` shards.
+    """
+    if workers is not None:
+        if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+            raise QueryError(
+                "workers must be an integer >= 1 or None, got "
+                f"{type(workers).__name__}: {workers!r}"
+            )
+        if workers < 1:
+            raise QueryError(f"workers must be >= 1, got {workers!r}")
+    if parallel_mode not in PARALLEL_MODES:
+        raise QueryError(
+            f"unknown parallel mode {parallel_mode!r}; expected {PARALLEL_MODES}"
+        )
+
+
+def _check_call(
+    database: Mapping[str, TemporalRelation],
+    tau: Number,
+    workers: Optional[int],
+    parallel_mode: str,
+    prepared,
+) -> None:
+    """The validation preamble of ``temporal_join`` and ``explain_analyze``."""
+    _ensure_loaded()
+    _check_tau(tau)
+    _check_parallel(workers, parallel_mode)
+    if prepared is not None:
+        prepared.validate_against(database)
+
+
 def _applicable(name: str, query: JoinQuery) -> bool:
     """Up-front structural applicability check for an algorithm pick.
 
@@ -209,80 +232,41 @@ def _applicable(name: str, query: JoinQuery) -> bool:
 #: Keyword arguments consumed by the dispatch layer itself, never by an
 #: algorithm function. :func:`strip_unsupported_kwargs` always keeps them,
 #: so benchmark code can hand one common kwargs dict (``workers=`` …) to
-#: algorithms with differing signatures. ``engine`` lives here for the
-#: same reason: algorithms without a kernel fast path must have it
-#: stripped at dispatch, not see it and error. ``prepared`` likewise:
-#: only the dispatch layer knows how to swap prepared columns in.
-#: ``predicate`` too: a non-``"overlaps"`` predicate reroutes dispatch to
-#: the binary lazy-sweep path before any algorithm is called.
-EXECUTOR_KWARGS = frozenset(
-    {"workers", "parallel_mode", "engine", "prepared", "predicate"}
-)
-
-#: Engines accepted by :func:`temporal_join` / :func:`explain_analyze`.
-ENGINES = ("auto", "kernel", "object")
+#: algorithms with differing signatures. ``prepared`` likewise: only the
+#: dispatch layer knows how to swap prepared columns in. ``predicate``
+#: too: a non-``"overlaps"`` predicate reroutes dispatch to the binary
+#: lazy-sweep path before any algorithm is called.
+EXECUTOR_KWARGS = frozenset({"workers", "parallel_mode", "prepared", "predicate"})
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
+def _keyword_params(fn: Algorithm) -> Optional[frozenset]:
+    """Names ``fn`` accepts by keyword, or ``None`` if it takes ``**kwargs``."""
+    params = inspect.signature(fn).parameters.values()
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
+        return None
+    return frozenset(
+        p.name
+        for p in params
+        if p.kind in (
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            inspect.Parameter.KEYWORD_ONLY,
+        )
+    )
+
+
+def _check_kwargs(name: str, fn: Algorithm, kwargs: Mapping) -> None:
+    """Reject keyword arguments algorithm ``name`` does not accept."""
+    if not kwargs:
+        return
+    accepted = _keyword_params(fn)
+    if accepted is None:
+        return
+    unknown = sorted(set(kwargs) - accepted)
+    if unknown:
         raise QueryError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
+            f"algorithm {name!r} does not accept keyword argument(s) "
+            f"{unknown}; it accepts {sorted(accepted - {'query', 'database'})}"
         )
-
-
-def _engine_decision(
-    name: str, engine: str, kwargs: Mapping
-) -> Tuple[str, Optional[str]]:
-    """The one engine-selection rule, shared by every dispatch site.
-
-    Returns ``(used_engine, fallback_reason)`` for the *post-fallback*
-    algorithm ``name``: serial dispatch, the parallel executor,
-    ``explain_analyze``'s report and the batch executor all call this
-    same function, so the engine that runs and the engine that is
-    reported cannot drift apart.
-
-    ``engine="auto"`` and ``engine="kernel"`` both pick the kernel
-    whenever the resolved algorithm has a kernel implementation, no
-    algorithm-specific kwargs (e.g. ``state_factory=``) force the object
-    path, and the registry entry is still the stock implementation (the
-    kernel path accelerates *that* algorithm, so a replaced/patched
-    registration — tests, user overrides — must win over the fast path).
-
-    ``fallback_reason`` is non-``None`` exactly when the caller asked
-    for ``engine="kernel"`` explicitly and the request degraded — the
-    silent-degradation bug this replaces: an explicit request that runs
-    the object path now records *why* (``kernel.fallback_reason``).
-    ``engine="auto"`` degradations are normal dispatch, not fallbacks,
-    and never produce a reason.
-    """
-    from ..kernels.engine import supports_kernel
-    from .timefirst import timefirst_join
-
-    if engine == "object":
-        return "object", None
-    explicit = engine == "kernel"
-    if not supports_kernel(name):
-        return "object", (
-            f"algorithm {name!r} has no kernel fast path"
-            if explicit else None
-        )
-    if kwargs:
-        return "object", (
-            f"algorithm kwargs {sorted(kwargs)} force the object path"
-            if explicit else None
-        )
-    if _REGISTRY.get(name) is not timefirst_join:
-        return "object", (
-            f"registry entry for {name!r} is overridden; the kernel "
-            "accelerates the stock implementation only"
-            if explicit else None
-        )
-    return "kernel", None
-
-
-def _kernel_eligible(name: str, engine: str, kwargs: Mapping) -> bool:
-    """True iff :func:`_engine_decision` selects the kernel fast path."""
-    return _engine_decision(name, engine, kwargs)[0] == "kernel"
 
 
 def strip_unsupported_kwargs(fn: Algorithm, kwargs: Dict) -> Dict:
@@ -296,20 +280,36 @@ def strip_unsupported_kwargs(fn: Algorithm, kwargs: Dict) -> Dict:
     :func:`repro.bench.harness.measure` to pass one shared kwargs dict
     across algorithms.
     """
-    sig = inspect.signature(fn)
-    params = sig.parameters.values()
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
+    accepted = _keyword_params(fn)
+    if accepted is None:
         return dict(kwargs)
-    accepted = {
-        p.name
-        for p in params
-        if p.kind in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        )
-    }
     accepted |= EXECUTOR_KWARGS
     return {k: v for k, v in kwargs.items() if k in accepted}
+
+
+def _resolve(
+    query: JoinQuery,
+    algorithm: str,
+    kwargs: Dict,
+    choice=None,
+    stats=None,
+    prepared=None,
+) -> Tuple[str, Algorithm, Dict]:
+    """Resolve ``algorithm`` to ``(name, fn, kwargs)``, kwargs checked.
+
+    ``"auto"`` goes through :func:`_resolve_auto`, with the plan taken
+    from ``choice`` or else from ``prepared``'s plan cache; a named
+    algorithm is looked up in the registry. Either way a keyword the
+    algorithm does not accept raises :class:`QueryError` before anything
+    runs.
+    """
+    if algorithm == "auto":
+        if choice is None and prepared is not None:
+            choice = prepared.cached_plan(query, stats=stats)
+        return _resolve_auto(query, kwargs, choice=choice, stats=stats)
+    fn = get_algorithm(algorithm)
+    _check_kwargs(algorithm, fn, kwargs)
+    return algorithm, fn, kwargs
 
 
 def _resolve_auto(
@@ -317,24 +317,26 @@ def _resolve_auto(
 ) -> Tuple[str, Algorithm, Dict]:
     """Run the Figure 7 planner and validate its pick up front.
 
-    Returns ``(name, fn, kwargs)``; when the planner's pick is
-    structurally inapplicable to this instance the universally
-    applicable HYBRID is substituted, with algorithm-specific kwargs
-    stripped. Errors raised *during* the chosen algorithm's execution —
-    including :class:`PlanError` from nested machinery — propagate to
-    the caller untouched. Callers that already hold the
-    :class:`~repro.core.planner.Plan` pass it as ``choice`` so the
-    planner runs once per call, not once per layer; ``stats`` (used only
-    when the planner actually runs here) collects the ``planner.*``
-    search counters.
+    Returns ``(name, fn, kwargs)``. ``kwargs`` are checked against the
+    planner's pick; when that pick is structurally inapplicable to this
+    instance the universally applicable HYBRID is substituted, with
+    algorithm-specific kwargs stripped. Errors raised *during* the
+    chosen algorithm's execution — including :class:`PlanError` from
+    nested machinery — propagate to the caller untouched. Callers that
+    already hold the :class:`~repro.core.planner.Plan` pass it as
+    ``choice`` so the planner runs once per call, not once per layer;
+    ``stats`` (used only when the planner actually runs here) collects
+    the ``planner.*`` search counters.
     """
     from ..core.planner import plan
 
     if choice is None:
         choice = plan(query, stats=stats)
     name = choice.algorithm
+    fn = _REGISTRY[name]
+    _check_kwargs(name, fn, kwargs)
     if _applicable(name, query):
-        return name, _REGISTRY[name], kwargs
+        return name, fn, kwargs
     fallback = _REGISTRY["hybrid"]
     return "hybrid", fallback, strip_unsupported_kwargs(fallback, kwargs)
 
@@ -347,7 +349,6 @@ def _binary_predicate_join(
     algorithm: str,
     stats: Optional[ExecutionStats],
     workers: Optional[int],
-    engine: str,
     prepared,
 ) -> JoinResultSet:
     """Dispatch a non-``overlaps`` predicate to the lazy-sweep binary path.
@@ -382,26 +383,11 @@ def _binary_predicate_join(
             f"algorithm must be 'auto' or 'baseline', got {algorithm!r}"
         )
     query.validate(database)
-    if engine == "object":
-        from .binary import binary_temporal_join
+    from ..kernels.allen import kernel_predicate_join
 
-        joined = binary_temporal_join(
-            database[names[0]],
-            database[names[1]],
-            strategy="lazy-sweep",
-            predicate=predicate,
-            stats=stats,
-        )
-        out = JoinResultSet(query.attrs)
-        perm = joined.positions(query.attrs) if len(joined) else ()
-        for values, interval in joined:
-            out.append(tuple(values[p] for p in perm), interval)
-    else:
-        from ..kernels.allen import kernel_predicate_join
-
-        out = kernel_predicate_join(
-            query, database, predicate, stats=stats, prepared=prepared
-        )
+    out = kernel_predicate_join(
+        query, database, predicate, stats=stats, prepared=prepared
+    )
     if tau:
         out = out.filter_durable(tau)
     if stats is not None:
@@ -417,7 +403,6 @@ def temporal_join(
     stats: Optional[ExecutionStats] = None,
     workers: Optional[int] = None,
     parallel_mode: str = "process",
-    engine: str = "auto",
     prepared=None,
     predicate: str = "overlaps",
     **kwargs,
@@ -437,6 +422,11 @@ def temporal_join(
         ``"auto"`` (Figure 7 planner), or one of
         :func:`available_algorithms` — ``timefirst``, ``hybrid``,
         ``hybrid-interval``, ``baseline``, ``joinfirst``, ``naive``.
+        Stock ``timefirst`` without algorithm kwargs sweeps on the
+        columnar kernel substrate (:mod:`repro.kernels` — interned
+        values, rank-space endpoints, one pre-sorted event array); every
+        other call runs on object rows. Results are identical either way
+        up to row order.
     stats:
         Optional :class:`~repro.obs.ExecutionStats` that the selected
         algorithm fills with execution counters and phase timers. When
@@ -446,20 +436,12 @@ def temporal_join(
         ``workers >= 2`` routes through the time-domain sharded engine of
         :mod:`repro.parallel`: the same algorithm runs on ``workers``
         endpoint-balanced time shards and the results are merged exactly
-        once — identical output up to row order.
+        once — identical output up to row order. Anything but ``None``
+        or an integer >= 1 raises :class:`QueryError`.
     parallel_mode:
         ``"process"`` (spawn-based pool, the default) or ``"inline"``
         (same sharded execution inside the calling process, for
-        debugging). Ignored unless ``workers >= 2``.
-    engine:
-        ``"auto"`` (default) runs the columnar kernel substrate
-        (:mod:`repro.kernels` — interned values, rank-space endpoints,
-        one pre-sorted event array) whenever the resolved algorithm has
-        a kernel fast path, the object path otherwise. ``"kernel"``
-        requests it explicitly; on algorithms without a fast path the
-        kwarg is consumed and the object path runs (never an error).
-        ``"object"`` forces the original object-row execution. Results
-        are identical across engines up to row order.
+        debugging). Only used when ``workers >= 2``.
     prepared:
         Optional :class:`~repro.kernels.prepared.PreparedDatabase` from
         :func:`repro.kernels.prepared.prepare`. Must match ``database``
@@ -472,20 +454,20 @@ def temporal_join(
     predicate:
         The interval predicate joining pairs must satisfy: the default
         ``"overlaps"`` (nonempty intersection — the paper's implicit
-        join predicate, supported by every algorithm/engine/worker
+        join predicate, supported by every algorithm/worker
         combination), any other extended Allen atom (``before``,
         ``meets``, ``starts``, ``started-by``, ``finishes``,
         ``finished-by``, ``during``, ``contains``, ``equals``) or an
         ``-or-`` union of atoms (``"overlaps-or-meets"``). Non-overlaps
         predicates require a **binary** (two-edge) query and run the
-        lazy-sweep engine directly (serial only; ``engine=`` still
-        selects object vs rank-space kernel execution); result intervals
+        rank-space lazy sweep directly (serial only); result intervals
         are the pair intersection, or the gap for ``before``, and τ
         filters that interval's duration. See
         :mod:`repro.algorithms.allen`.
     kwargs:
         Forwarded to the selected algorithm (e.g. ``order=`` for
-        ``baseline``, ``mode=`` for ``hybrid``).
+        ``baseline``, ``mode=`` for ``hybrid``). A keyword the algorithm
+        does not accept raises :class:`QueryError`.
 
     Returns
     -------
@@ -493,19 +475,12 @@ def temporal_join(
         Result tuples in ``query.attrs`` order with their valid intervals
         (the original, un-shrunk intervals even when ``tau > 0``).
     """
-    _ensure_loaded()
-    _check_tau(tau)
-    _check_engine(engine)
-    if workers is not None and workers < 1:
-        raise QueryError(f"workers must be >= 1, got {workers!r}")
-    if prepared is not None:
-        prepared.validate_against(database)
+    _check_call(database, tau, workers, parallel_mode, prepared)
     from .allen import parse_predicate
 
     if parse_predicate(predicate) != ("overlaps",):
         return _binary_predicate_join(
-            query, database, tau, predicate, algorithm, stats, workers,
-            engine, prepared,
+            query, database, tau, predicate, algorithm, stats, workers, prepared
         )
     if workers is not None and workers > 1:
         from ..parallel import parallel_temporal_join
@@ -518,22 +493,14 @@ def temporal_join(
             workers=workers,
             mode=parallel_mode,
             stats=stats,
-            engine=engine,
             prepared=prepared,
             **kwargs,
         )
-    if algorithm == "auto":
-        if prepared is not None:
-            choice = prepared.cached_plan(query, stats=stats)
-            name, fn, kwargs = _resolve_auto(query, kwargs, choice=choice)
-        else:
-            name, fn, kwargs = _resolve_auto(query, kwargs, stats=stats)
-    else:
-        name = algorithm
-        fn = get_algorithm(algorithm)
+    name, fn, kwargs = _resolve(
+        query, algorithm, kwargs, stats=stats, prepared=prepared
+    )
     return _dispatch_serial(
-        name, fn, query, database, tau, stats, engine, kwargs,
-        prepared=prepared,
+        name, fn, query, database, tau, stats, kwargs, prepared=prepared
     )
 
 
@@ -544,21 +511,16 @@ def _dispatch_serial(
     database: Mapping[str, TemporalRelation],
     tau: Number,
     stats: Optional[ExecutionStats],
-    engine: str,
     kwargs: Dict,
     prepared=None,
 ) -> JoinResultSet:
-    """Run one resolved algorithm serially, kernel fast path included."""
-    used_engine, fallback_reason = _engine_decision(name, engine, kwargs)
-    if fallback_reason is not None and stats is not None:
-        stats.note("kernel.fallback_reason", fallback_reason)
-    if used_engine == "kernel":
-        from ..kernels.engine import kernel_timefirst_join
-        from ..kernels.prepared import needs_reduction, prepared_kernel_join
+    """Run one resolved algorithm serially, on columns where it applies."""
+    from ..kernels.engine import kernel_timefirst_join, runs_on_columns
 
-        if prepared is not None and not needs_reduction(query):
-            return prepared_kernel_join(query, prepared, tau=tau, stats=stats)
-        return kernel_timefirst_join(query, database, tau=tau, stats=stats)
+    if runs_on_columns(name, kwargs):
+        return kernel_timefirst_join(
+            query, database, tau=tau, stats=stats, prepared=prepared
+        )
     if stats is not None:
         kwargs = dict(kwargs, stats=stats)
     return fn(query, database, tau=tau, **kwargs)
@@ -575,20 +537,14 @@ class ExplainAnalyze:
     seconds: float
     tau: Number
     input_size: int
+    #: The substrate that ran: ``"kernel"`` (columns) or ``"object"``.
     engine: str = "object"
-    #: Why an explicit ``engine="kernel"`` request degraded to the
-    #: object path (``None`` when it did not) — the same text recorded
-    #: under ``stats.notes["kernel.fallback_reason"]``.
-    kernel_fallback: Optional[str] = None
 
     def render(self) -> str:
         """Aligned, ``EXPLAIN ANALYZE``-style report."""
-        engine_line = f"engine:     {self.engine}"
-        if self.kernel_fallback:
-            engine_line += f" (kernel fallback: {self.kernel_fallback})"
         head = [
             f"algorithm:  {self.algorithm}",
-            engine_line,
+            f"engine:     {self.engine}",
             f"tau:        {self.tau}",
             f"input rows: {self.input_size}",
             f"results:    {len(self.result)}",
@@ -614,7 +570,6 @@ def explain_analyze(
     stats: Optional[ExecutionStats] = None,
     workers: Optional[int] = None,
     parallel_mode: str = "process",
-    engine: str = "auto",
     prepared=None,
     predicate: str = "overlaps",
     **kwargs,
@@ -622,12 +577,12 @@ def explain_analyze(
     """Run the join with telemetry attached and report plan + counters.
 
     The observability counterpart of :func:`temporal_join`: evaluates the
-    query exactly as ``temporal_join`` would (same planner, same
-    fallback, same kwargs) but with an :class:`ExecutionStats` collecting
+    query exactly as ``temporal_join`` would (same validation, planner,
+    fallback and kwargs) but with an :class:`ExecutionStats` collecting
     counters, and returns an :class:`ExplainAnalyze` pairing the
     planner's static ``explain()`` with what actually happened — events
     processed, peak active-set size, intermediate cardinalities, phase
-    timers, wall time.
+    timers, wall time, and the substrate that ran.
 
     ``stats`` may be supplied to accumulate counters across several runs
     (e.g. a parameter sweep); by default a fresh object is used. With
@@ -637,22 +592,20 @@ def explain_analyze(
     cache exactly as ``temporal_join`` would, and the report's counters
     include the ``prepared.*`` rows (cache hits, reuse, time saved).
     """
-    _ensure_loaded()
-    _check_tau(tau)
-    _check_engine(engine)
+    _check_call(database, tau, workers, parallel_mode, prepared)
+    if stats is None:
+        # Created before the planner runs so the ``planner.*`` search
+        # counters land in the report alongside the execution counters.
+        stats = ExecutionStats()
+    input_size = sum(len(rel) for rel in database.values())
     from .allen import parse_predicate
 
     if parse_predicate(predicate) != ("overlaps",):
         # Non-overlaps predicates bypass the Figure-7 planner entirely:
         # the binary lazy-sweep path is the plan.
-        if prepared is not None:
-            prepared.validate_against(database)
-        if stats is None:
-            stats = ExecutionStats()
         start = time.perf_counter()
         result = _binary_predicate_join(
-            query, database, tau, predicate, algorithm, stats, workers,
-            engine, prepared,
+            query, database, tau, predicate, algorithm, stats, workers, prepared
         )
         seconds = time.perf_counter() - start
         return ExplainAnalyze(
@@ -666,32 +619,23 @@ def explain_analyze(
             result=result,
             seconds=seconds,
             tau=tau,
-            input_size=sum(len(rel) for rel in database.values()),
-            engine="object" if engine == "object" else "kernel",
-            kernel_fallback=None,
+            input_size=input_size,
+            engine="kernel",
         )
-    if stats is None:
-        # Created before the planner runs so the ``planner.*`` search
-        # counters land in the report alongside the execution counters.
-        stats = ExecutionStats()
     if prepared is not None:
-        prepared.validate_against(database)
         choice = prepared.cached_plan(query, stats=stats)
     else:
         from ..core.planner import plan
 
         choice = plan(query, stats=stats)
-    if algorithm == "auto":
-        # The planner already ran above; reuse its plan rather than
-        # re-deriving it inside the resolver.
-        name, fn, kwargs = _resolve_auto(query, kwargs, choice=choice)
-    else:
-        name = algorithm
-        fn = get_algorithm(algorithm)
-    # The decision for the *post-fallback* algorithm, from the same
-    # helper the dispatch sites use — the reported engine is the engine
-    # that runs, by construction rather than by synchronized duplicates.
-    used_engine, kernel_fallback = _engine_decision(name, engine, kwargs)
+    # The planner already ran above; reuse its plan rather than
+    # re-deriving it inside the resolver.
+    name, fn, kwargs = _resolve(query, algorithm, kwargs, choice=choice)
+    from ..kernels.engine import runs_on_columns
+
+    # The rule the dispatch sites apply to the *post-fallback* algorithm:
+    # the reported engine is the engine that runs, by construction.
+    engine = "kernel" if runs_on_columns(name, kwargs) else "object"
     start = time.perf_counter()
     if workers is not None and workers > 1:
         from ..parallel import parallel_temporal_join
@@ -699,12 +643,11 @@ def explain_analyze(
         result = parallel_temporal_join(
             query, database, tau=tau, algorithm=name,
             workers=workers, mode=parallel_mode, stats=stats,
-            engine=engine, prepared=prepared, **kwargs,
+            prepared=prepared, **kwargs,
         )
     else:
         result = _dispatch_serial(
-            name, fn, query, database, tau, stats, engine, kwargs,
-            prepared=prepared,
+            name, fn, query, database, tau, stats, kwargs, prepared=prepared
         )
     seconds = time.perf_counter() - start
     explanation = choice.explain()
@@ -719,7 +662,6 @@ def explain_analyze(
             f"\n(auto fallback: planner picked {choice.algorithm!r}, "
             f"inapplicable to this instance; ran {name!r})"
         )
-    input_size = sum(len(rel) for rel in database.values())
     return ExplainAnalyze(
         algorithm=name,
         plan_explanation=explanation,
@@ -728,6 +670,5 @@ def explain_analyze(
         seconds=seconds,
         tau=tau,
         input_size=input_size,
-        engine=used_engine,
-        kernel_fallback=kernel_fallback,
+        engine=engine,
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Protocol, Tuple
 
-from ..core.durability import shrink_database
 from ..core.errors import InvariantError
 from ..core.interval import Interval, Number
 from ..core.query import JoinQuery
@@ -122,43 +121,28 @@ def timefirst_join(
 
     Selection follows Section 3: hierarchical queries (after linear-time
     reduction when merely r-hierarchical) use the attribute-tree structure;
-    everything else uses the GHD-based generic state.
+    everything else uses the GHD-based generic state. Validation, the
+    τ/2-shrink and the reduction are
+    :func:`repro.kernels.engine.prepare_run`, shared with the kernel
+    path.
 
     ``state_factory`` overrides the choice: a callable
-    ``(query, database) -> SweepState``. ``stats`` opts into execution
-    telemetry (see :mod:`repro.obs`); it is handed to the sweep and to
-    the built-in states, which add their structure-level counters.
+    ``(query, database) -> SweepState``, handed the reduced instance
+    when the query is merely r-hierarchical. ``stats`` opts into
+    execution telemetry (see :mod:`repro.obs`); it is handed to the
+    sweep and to the built-in states, which add their structure-level
+    counters.
     """
-    from ..core.classification import reduce_instance
+    from ..kernels.engine import prepare_run
     from .generic_state import GenericGHDState
     from .hierarchical import HierarchicalState
 
-    query.validate(database)
-    if stats is None:
-        db = shrink_database(database, tau)
-    else:
-        with stats.timer("phase.shrink"):
-            db = shrink_database(database, tau)
-
+    run_query, run_db = prepare_run(query, database, tau, stats=stats)
     if state_factory is not None:
-        run_query, run_db = query, db
         state = state_factory(run_query, run_db)  # type: ignore[operator]
-    elif query.is_hierarchical:
-        run_query, run_db = query, db
-        state = HierarchicalState(run_query, stats=stats)
-    elif query.is_r_hierarchical:
-        reduced_hg, reduced_db = reduce_instance(query.hypergraph, db)
-        run_query = JoinQuery.from_hypergraph(reduced_hg)
-        # Keep the original output attribute order: reduction never
-        # removes attributes, only edges.
-        run_query = JoinQuery(
-            {n: reduced_hg.edge(n) for n in reduced_hg.edge_names},
-            attr_order=query.attrs,
-        )
-        run_db = reduced_db
+    elif run_query.is_hierarchical:
         state = HierarchicalState(run_query, stats=stats)
     else:
-        run_query, run_db = query, db
         state = GenericGHDState(run_query, run_db, stats=stats)
 
     result = sweep(run_query, run_db, state, stats=stats)

@@ -762,7 +762,6 @@ def _harvest_module_pool_submits(tree: ast.Module, summary: FileSummary) -> None
 #: Constructors whose row payloads feed the exactly-once concatenation.
 OUTCOME_SINKS = {
     "ShardOutcome": ("rows",),
-    "BatchShardOutcome": ("rows_per_query",),
 }
 
 #: Functions that *produce* shard-owned emissions returned to a merger.
@@ -820,7 +819,7 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
             ) or (
                 isinstance(arg, ast.Subscript)
                 and isinstance(arg.value, ast.Attribute)
-                and arg.value.attr == "rows_per_query"
+                and arg.value.attr == "rows"
             ) or _is_filtered_expr(arg)
             if not ok:
                 summary.ownership.append(
@@ -830,7 +829,7 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
                         "detail": (
                             "merge concatenation consumes something other "
                             "than the ownership-filtered shard rows "
-                            "(.rows / .rows_per_query[i])"
+                            "(.rows / .rows[i])"
                         ),
                     }
                 )

@@ -49,6 +49,7 @@ from typing import (
 from ..algorithms.allen import ATOMS, lazy_sweep_join, pair_interval
 from ..algorithms.interval_join import forward_scan_join
 from ..algorithms.registry import temporal_join
+from ..algorithms.timefirst import timefirst_join
 from ..core.interval import Interval
 from ..core.plancache import PlanCache
 from ..core.planner import plan
@@ -91,9 +92,11 @@ class Cell(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# Kernel vs object engine (TIMEFIRST) on the synthetic line3 / star3
-# families: line3 drives the generic GHD sweep state, star3 the X_u
-# counter hierarchy of Theorem 9. N = 3 * (980 + 40) ≈ 3k tuples.
+# Kernel vs object substrate (TIMEFIRST) on the synthetic line3 / star3
+# families: the object-row timefirst_join against stock
+# temporal_join(algorithm="timefirst"), which sweeps on columns. line3
+# drives the generic GHD sweep state, star3 the X_u counter hierarchy of
+# Theorem 9. N = 3 * (980 + 40) ≈ 3k tuples.
 # ----------------------------------------------------------------------
 
 KERNEL_CONFIG = SyntheticConfig(n_dangling=980, n_results=40)
@@ -105,14 +108,11 @@ def _kernel_setup(make_query: Callable[[], JoinQuery]):
         query = make_query()
         database = generate(query, KERNEL_CONFIG)
 
-        def run(engine: str):
-            return temporal_join(
-                query, database, tau=0.0, algorithm="timefirst", engine=engine
-            )
-
         yield Arms(
-            baseline=lambda: run("object"),
-            fast=lambda: run("kernel"),
+            baseline=lambda: timefirst_join(query, database, tau=0.0),
+            fast=lambda: temporal_join(
+                query, database, tau=0.0, algorithm="timefirst"
+            ),
             same=lambda a, b: a.normalized() == b.normalized(),
         )
 
@@ -120,7 +120,7 @@ def _kernel_setup(make_query: Callable[[], JoinQuery]):
 
 
 # ----------------------------------------------------------------------
-# Cold fleet vs prepared batch: ten kernel-engine temporal_join calls vs
+# Cold fleet vs prepared batch: ten kernel-path temporal_join calls vs
 # one prepare() + run_batch() over a 10-template fleet on one shared
 # line5 schema (N ≈ 5 * (560 + 40) ≈ 3k tuples). window=150, below the
 # generator's 300-tick stagger, keeps dangling mass temporally disjoint
@@ -168,7 +168,7 @@ def _prepared_setup() -> Iterator[Arms]:
         return [
             temporal_join(
                 query, {name: database[name] for name in query.edge_names},
-                tau=0.0, algorithm="timefirst", engine="kernel",
+                tau=0.0, algorithm="timefirst",
             )
             for query in queries
         ]

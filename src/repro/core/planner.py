@@ -43,11 +43,11 @@ class Plan:
     exponent: float  # Theorem 12 bound min(fhtw + 1, hhtw) (1 if hierarchical)
     guarded: bool
     notes: List[str] = field(default_factory=list)
-    #: Default execution substrate for the chosen algorithm under
-    #: ``engine="auto"``: ``"kernel"`` (columnar interned sweep,
-    #: :mod:`repro.kernels`) when the algorithm has a kernel fast path,
-    #: ``"object"`` otherwise. Same asymptotics either way — the engine
-    #: is a constant-factor choice, never a plan-shape one.
+    #: Execution substrate for the chosen algorithm called without
+    #: algorithm kwargs, by :func:`repro.kernels.engine.runs_on_columns`:
+    #: ``"kernel"`` (columnar interned sweep, :mod:`repro.kernels`) or
+    #: ``"object"``. Same asymptotics either way — the substrate is a
+    #: constant-factor choice, never a plan-shape one.
     engine: str = "object"
     #: False when a planner budget expired before the decomposition
     #: search was exhausted: ``fhtw``/``hhtw`` are then the best-found
@@ -281,7 +281,7 @@ def plan(
             alternatives.append("hybrid-interval")
             notes.append("guarded simplification applies to the GHD")
 
-    from ..kernels.engine import supports_kernel
+    from ..kernels.engine import runs_on_columns
 
     result = Plan(
         query=query,
@@ -293,7 +293,7 @@ def plan(
         exponent=exponent,
         guarded=guarded,
         notes=notes,
-        engine="kernel" if supports_kernel(algorithm) else "object",
+        engine="kernel" if runs_on_columns(algorithm) else "object",
         optimal=optimal,
         fhtw_witness=fghd,
         hhtw_witness=hghd,

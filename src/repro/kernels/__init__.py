@@ -1,9 +1,9 @@
 """Columnar execution kernels: interned values, rank-space endpoints.
 
-The kernel engine is a fast path under ``temporal_join(engine=...)``,
-not a new algorithm: it replays TIMEFIRST's exact event order over
-pre-flattened int arrays and de-interns at emission, so results are
-indistinguishable from the object path. See DESIGN.md §"Kernel layer".
+The kernel substrate is how stock TIMEFIRST runs, not a new algorithm:
+it replays TIMEFIRST's exact event order over pre-flattened int arrays
+and de-interns at emission, so results are indistinguishable from the
+object path. See DESIGN.md §"Kernel layer".
 
 Layout:
 
@@ -12,8 +12,10 @@ Layout:
   de-interning, shard subsetting, timeline bridging.
 * :mod:`~repro.kernels.hierarchy` / :mod:`~repro.kernels.generic` —
   row-id driven sweep states (Theorem 6 / Theorem 9 structures).
-* :mod:`~repro.kernels.engine` — the τ-aware driver and the
-  ``supports_kernel`` capability probe used by the dispatch layer.
+* :mod:`~repro.kernels.engine` — the one pipeline: the
+  ``runs_on_columns`` substrate rule every dispatch site asks, column
+  selection (``query_columns``) and the shared sweep / de-intern /
+  expand step (``sweep_columns``).
 * :mod:`~repro.kernels.prepared` — pay the ingest once per *database*:
   :func:`prepare` / :class:`PreparedDatabase` /
   :func:`run_batch` amortize interning, ranking and the event sort
@@ -29,18 +31,17 @@ from .columns import (
 )
 from .prepared import PreparedDatabase, prepare, run_batch
 from .engine import (
-    KERNEL_ALGORITHMS,
     kernel_sweep,
     kernel_timefirst_join,
-    make_state,
     prepare_run,
-    supports_kernel,
+    query_columns,
+    runs_on_columns,
+    sweep_columns,
 )
 from .generic import KernelGenericState
 from .hierarchy import KernelHierarchicalState
 
 __all__ = [
-    "KERNEL_ALGORITHMS",
     "KernelColumns",
     "KernelGenericState",
     "KernelHierarchicalState",
@@ -49,11 +50,12 @@ __all__ = [
     "deintern_results",
     "kernel_sweep",
     "kernel_timefirst_join",
-    "make_state",
     "prepare",
     "prepare_run",
+    "query_columns",
     "run_batch",
+    "runs_on_columns",
     "shard_row_ids",
     "shrink_columns",
-    "supports_kernel",
+    "sweep_columns",
 ]

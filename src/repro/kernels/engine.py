@@ -1,12 +1,15 @@
-"""The kernel TIMEFIRST driver: one interning pass, one flat sweep.
+"""The kernel TIMEFIRST pipeline: one interning pass, one flat sweep.
 
-:func:`kernel_timefirst_join` mirrors
-:func:`repro.algorithms.timefirst.timefirst_join` step for step —
-validate, τ/2-shrink, r-hierarchical reduction, state selection, sweep,
-τ/2-expand — but runs on :class:`~repro.kernels.columns.KernelColumns`:
-the event stream is flattened and sorted exactly once per call into int
-codes, the dynamic structure is keyed on interned ints, and the results
-are de-interned in one batch at emission. Output equality with the
+:func:`runs_on_columns` is the one substrate rule: the planner, serial
+dispatch, the parallel executor and ``run_batch`` all ask it whether a
+resolved algorithm runs on columns or on object rows. On columns every
+caller runs the same two steps — :func:`query_columns` picks the
+:class:`~repro.kernels.columns.KernelColumns` the sweep reads (a
+prepared artifact's cached view, or a cold validate / τ/2-shrink /
+r-hierarchical reduction / intern pass), and :func:`sweep_columns`
+selects the state, sweeps the pre-sorted int event codes, de-interns in
+one batch and τ/2-expands — serially in :func:`kernel_timefirst_join`,
+per shard in :mod:`repro.parallel.worker`. Output equality with the
 object path (normalized row sets, ``sweep.*`` / ``hier.*`` / ``ghd.*``
 counters, ``phase.sweep`` timer) is the correctness contract, pinned by
 the hypothesis equivalence suite.
@@ -16,24 +19,41 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Tuple
 
+from ..algorithms.registry import get_algorithm
+from ..algorithms.timefirst import timefirst_join
 from ..core.durability import shrink_database
-from ..core.errors import InvariantError
 from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
 from .columns import KernelColumns, build_columns, deintern_results
-
-#: Algorithms with a kernel fast path. Every other registered algorithm
-#: silently ignores ``engine="kernel"`` (the dispatch layer strips the
-#: kwarg rather than erroring — see ``registry.temporal_join``).
-KERNEL_ALGORITHMS = frozenset({"timefirst"})
+from .generic import KernelGenericState
+from .hierarchy import KernelHierarchicalState
 
 
-def supports_kernel(algorithm: str) -> bool:
-    """True iff ``algorithm`` has a kernel fast path."""
-    return algorithm in KERNEL_ALGORITHMS
+def runs_on_columns(algorithm: str, kwargs: Optional[Mapping] = None) -> bool:
+    """True iff ``algorithm`` called with ``kwargs`` sweeps on columns.
+
+    That is exactly the stock ``timefirst`` registration called without
+    algorithm kwargs: ``state_factory=`` and friends need object rows,
+    and a replaced registry entry (a test double, a user override)
+    always wins over the fast path, which accelerates the stock
+    implementation only. Every other algorithm runs on object rows.
+    """
+    if algorithm != "timefirst" or kwargs:
+        return False
+    return get_algorithm(algorithm) is timefirst_join
+
+
+def needs_reduction(query: JoinQuery) -> bool:
+    """True iff TIMEFIRST on ``query`` rewrites the *instance* first.
+
+    Merely-r-hierarchical queries go through the footnote-2 reduction,
+    which drops rows per query — incompatible with sharing one prepared
+    column set across a fleet, so such queries take the cold path.
+    """
+    return (not query.is_hierarchical) and query.is_r_hierarchical
 
 
 def prepare_run(
@@ -44,10 +64,10 @@ def prepare_run(
 ) -> Tuple[JoinQuery, Mapping[str, TemporalRelation]]:
     """Validate, τ/2-shrink and (if r-hierarchical) reduce the instance.
 
-    Returns the (query, database) pair the sweep actually runs on — the
-    same pair the object path's ``timefirst_join`` would construct. The
-    parallel executor calls this before interning so shard columns are
-    built from the final run instance.
+    Returns the (query, database) pair the sweep actually runs on. Both
+    substrates start here: the object path's ``timefirst_join`` (and
+    ``timefirst-cm`` through it) and the cold kernel path, before
+    interning.
     """
     from ..core.classification import reduce_instance
 
@@ -57,7 +77,7 @@ def prepare_run(
     else:
         with stats.timer("phase.shrink"):
             db = shrink_database(database, tau)
-    if query.is_hierarchical or not query.is_r_hierarchical:
+    if not needs_reduction(query):
         return query, db
     reduced_hg, reduced_db = reduce_instance(query.hypergraph, db)
     # Keep the original output attribute order: reduction never removes
@@ -69,18 +89,30 @@ def prepare_run(
     return run_query, reduced_db
 
 
-def make_state(
-    run_query: JoinQuery,
-    columns: KernelColumns,
+def query_columns(
+    query: JoinQuery,
+    database: Mapping[str, TemporalRelation],
+    tau: Number = 0,
     stats: Optional[ExecutionStats] = None,
-):
-    """Select the kernel sweep state the way the object path does."""
-    from .generic import KernelGenericState
-    from .hierarchy import KernelHierarchicalState
+    prepared=None,
+) -> Tuple[JoinQuery, KernelColumns]:
+    """The run query and the columns its sweep reads.
 
-    if run_query.is_hierarchical:
-        return KernelHierarchicalState(run_query, columns, stats=stats)
-    return KernelGenericState(run_query, columns, stats=stats)
+    With a :class:`~repro.kernels.prepared.PreparedDatabase` (already
+    validated against ``database`` by the caller) the artifact's cached
+    τ-view restricted to the query's relations: no interning, ranking or
+    event sort. Queries needing the per-query r-hierarchical instance
+    reduction, and calls without an artifact, take the cold
+    :func:`prepare_run` + :func:`~repro.kernels.columns.build_columns`
+    pair.
+    """
+    if prepared is not None and not needs_reduction(query):
+        query.validate(database)
+        columns = prepared.columns_for(query, tau, stats=stats)
+        prepared.record_reuse(columns, stats)
+        return query, columns
+    run_query, run_db = prepare_run(query, database, tau, stats=stats)
+    return run_query, build_columns(run_db, stats=stats)
 
 
 def kernel_sweep(
@@ -126,23 +158,41 @@ def kernel_sweep(
     return out
 
 
+def sweep_columns(
+    run_query: JoinQuery,
+    columns: KernelColumns,
+    tau: Number = 0,
+    stats: Optional[ExecutionStats] = None,
+) -> JoinResultSet:
+    """State selection → sweep → de-intern → τ/2-expand over ``columns``.
+
+    The one kernel pipeline after the columns exist. The state follows
+    the object path's choice: the attribute-tree structure (Theorem 6)
+    on hierarchical run queries, the GHD state (Theorem 9) otherwise.
+    """
+    if run_query.is_hierarchical:
+        state = KernelHierarchicalState(run_query, columns, stats=stats)
+    else:
+        state = KernelGenericState(run_query, columns, stats=stats)
+    result = kernel_sweep(run_query, columns, state, stats=stats)
+    result = deintern_results(columns.domains, result)
+    return result.expand_intervals(tau / 2 if tau else 0)
+
+
 def kernel_timefirst_join(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
     stats: Optional[ExecutionStats] = None,
+    prepared=None,
 ) -> JoinResultSet:
-    """τ-durable TIMEFIRST on the columnar kernel substrate.
+    """τ-durable TIMEFIRST on the columnar kernel substrate, serially.
 
-    Drop-in equivalent of the object path's ``timefirst_join`` (modulo
-    ``state_factory``, which forces the object engine): same counters,
-    same normalized results, one event sort per call.
+    Drop-in equivalent of the object path's ``timefirst_join`` without
+    ``state_factory``: same counters, same normalized results, at most
+    one event sort per call (none when ``prepared`` serves the query).
     """
-    run_query, run_db = prepare_run(query, database, tau, stats=stats)
-    columns = build_columns(run_db, stats=stats)
-    state = make_state(run_query, columns, stats=stats)
-    result = kernel_sweep(run_query, columns, state, stats=stats)
-    if tuple(result.attrs) != tuple(query.attrs):  # pragma: no cover - defensive
-        raise InvariantError("kernel sweep returned unexpected attribute layout")
-    result = deintern_results(columns.domains, result)
-    return result.expand_intervals(tau / 2 if tau else 0)
+    run_query, columns = query_columns(
+        query, database, tau, stats=stats, prepared=prepared
+    )
+    return sweep_columns(run_query, columns, tau, stats=stats)

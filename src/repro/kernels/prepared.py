@@ -1,8 +1,9 @@
 """Prepared databases: pay the columnar ingest once, sweep many times.
 
 The serving story in ROADMAP.md is "one ingest path, N standing
-queries". A cold ``temporal_join(engine="kernel")`` call re-interns
-values, re-ranks endpoints and re-sorts the event stream every time;
+queries". A cold kernel-path call (stock ``temporal_join(...,
+algorithm="timefirst")``) re-interns values, re-ranks endpoints and
+re-sorts the event stream every time;
 :func:`prepare` hoists all three into a reusable, immutable, picklable
 :class:`PreparedDatabase` artifact that any number of queries then sweep
 over:
@@ -19,7 +20,8 @@ over:
   templates skip the Figure-7 planner;
 * with ``workers >= 2`` the batch ships each worker *one* shard column
   subset and reuses it for every query in the batch, instead of
-  re-subsetting per query.
+  re-subsetting per query (the same shard tasks, fan-out and merge as a
+  sharded single query, :func:`repro.parallel.executor.sweep_sharded`).
 
 Invalidation is the caller's job: the artifact is a snapshot. Passing a
 database whose relations no longer match (names, attribute tuples, row
@@ -28,7 +30,8 @@ relation in place behind the artifact's back is undetectable and
 unsupported. Queries that require the footnote-2 r-hierarchical
 *instance* reduction fall back to the cold kernel path — the reduction
 rewrites the data per query, which is exactly what a shared artifact
-cannot amortize.
+cannot amortize; ``run_batch`` records that as the
+``kernel.fallback_reason`` note.
 
 Telemetry: ``prepared.*`` counters (cache hits/misses for plans, τ-views
 and restrictions, reuse and shared-result counts, cold fallbacks) plus
@@ -49,25 +52,10 @@ from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
 from ..core.result import JoinResultSet
 from ..obs import ExecutionStats
-from .columns import (
-    KernelColumns,
-    build_columns,
-    deintern_results,
-    shrink_columns,
-)
-from .engine import kernel_sweep, make_state
+from .columns import KernelColumns, build_columns, shrink_columns
+from .engine import kernel_timefirst_join, needs_reduction, runs_on_columns
 
 Database = Mapping[str, TemporalRelation]
-
-
-def needs_reduction(query: JoinQuery) -> bool:
-    """True iff TIMEFIRST on ``query`` rewrites the *instance* first.
-
-    Merely-r-hierarchical queries go through the footnote-2 reduction,
-    which drops rows per query — incompatible with sharing one prepared
-    column set across a fleet, so such queries take the cold path.
-    """
-    return (not query.is_hierarchical) and query.is_r_hierarchical
 
 
 class PreparedDatabase:
@@ -218,6 +206,20 @@ class PreparedDatabase:
         self._plans[key] = cached
         return cached
 
+    def record_reuse(
+        self, columns: KernelColumns, stats: Optional[ExecutionStats]
+    ) -> None:
+        """Count one reuse and the ingest time it saved (pro-rated)."""
+        if stats is None:
+            return
+        stats.incr("prepared.reuse")
+        total = self.columns.n_rows
+        if self.build_seconds and total:
+            stats.add_time(
+                "phase.prepared.saved",
+                self.build_seconds * (columns.n_rows / total),
+            )
+
 
 def prepare(
     database: Database,
@@ -243,43 +245,6 @@ def prepare(
     )
 
 
-def _record_reuse(
-    prepared: PreparedDatabase,
-    columns: KernelColumns,
-    stats: Optional[ExecutionStats],
-) -> None:
-    if stats is None:
-        return
-    stats.incr("prepared.reuse")
-    total = prepared.columns.n_rows
-    if prepared.build_seconds and total:
-        stats.add_time(
-            "phase.prepared.saved",
-            prepared.build_seconds * (columns.n_rows / total),
-        )
-
-
-def prepared_kernel_join(
-    query: JoinQuery,
-    prepared: PreparedDatabase,
-    tau: Number = 0,
-    stats: Optional[ExecutionStats] = None,
-) -> JoinResultSet:
-    """TIMEFIRST over prepared columns: no interning, no event sort.
-
-    The caller (the dispatch layer) has already validated the artifact
-    against the live database and checked that ``query`` does not need
-    the r-hierarchical instance reduction.
-    """
-    query.validate(prepared.database)
-    columns = prepared.columns_for(query, tau, stats=stats)
-    _record_reuse(prepared, columns, stats)
-    state = make_state(query, columns, stats=stats)
-    result = kernel_sweep(query, columns, state, stats=stats)
-    result = deintern_results(columns.domains, result)
-    return result.expand_intervals(tau / 2 if tau else 0)
-
-
 # ----------------------------------------------------------------------
 # Batch execution
 # ----------------------------------------------------------------------
@@ -302,47 +267,47 @@ def run_batch(
     prepared: PreparedDatabase,
     tau: Number = 0,
     algorithm: str = "auto",
-    engine: str = "auto",
     stats: Optional[ExecutionStats] = None,
     workers: Optional[int] = None,
     parallel_mode: str = "process",
+    **kwargs,
 ) -> List[JoinResultSet]:
     """Evaluate a fleet of queries against one prepared database.
 
     Returns one :class:`JoinResultSet` per input query, in order, each
     equal (up to row order) to ``temporal_join(q, prepared.database,
-    tau=tau, algorithm=algorithm, engine=engine)``. The batch is where
-    amortization compounds:
+    tau=tau, algorithm=algorithm)``. The batch is where amortization
+    compounds:
 
     * preparation (intern / rank / event sort) is inherited from the
       artifact — a τ=0 batch performs **zero** additional sorts;
     * queries sharing a hypergraph share one sweep: duplicates receive
       the same rows (``prepared.shared_results``), attribute-order
       variants a projection of them;
-    * with ``workers >= 2`` all kernel-eligible sweeps in the batch run
-      over one set of shard column subsets, shipped to the pool once.
+    * with ``workers >= 2`` all kernel-path sweeps in the batch run over
+      one set of shard column subsets, shipped to the pool once.
 
-    Queries the kernel cannot serve from the artifact — non-kernel
-    algorithms, or r-hierarchical queries needing the per-query instance
-    reduction — fall back to cold ``temporal_join`` on the relations
-    they touch (``prepared.fallback_queries``).
+    Queries the kernel cannot serve from the artifact — algorithms that
+    run on object rows, or r-hierarchical queries needing the per-query
+    instance reduction — fall back to cold ``temporal_join`` on the
+    relations they touch (``prepared.fallback_queries``). A batch takes
+    no algorithm keyword arguments: any raises :class:`QueryError`.
     """
     from ..algorithms.registry import (
-        _check_engine,
+        _check_parallel,
         _check_tau,
-        _engine_decision,
         _ensure_loaded,
-        _resolve_auto,
-        get_algorithm,
+        _resolve,
         temporal_join,
     )
 
     _ensure_loaded()
     _check_tau(tau)
-    _check_engine(engine)
-    if workers is not None and workers < 1:
-        raise QueryError(f"workers must be >= 1, got {workers!r}")
-    n_workers = workers if workers is not None else 1
+    _check_parallel(workers, parallel_mode)
+    if kwargs:
+        raise QueryError(
+            f"run_batch takes no algorithm keyword arguments, got {sorted(kwargs)}"
+        )
 
     # ------------------------------------------------------------------
     # Resolve + dedup: one _Evaluation per distinct (hypergraph, algo).
@@ -351,26 +316,22 @@ def run_batch(
     order: List[_Evaluation] = []
     for index, query in enumerate(queries):
         query.validate(prepared.database)
-        if algorithm == "auto":
-            choice = prepared.cached_plan(query, stats=stats)
-            name, _, _ = _resolve_auto(query, {}, choice=choice)
-        else:
-            name = algorithm
-            get_algorithm(algorithm)  # raises on unknown names up front
+        name, _, _ = _resolve(
+            query, algorithm, {}, stats=stats, prepared=prepared
+        )
         key = (hypergraph_signature(query), name)
         evaluation = evaluations.get(key)
         if evaluation is None:
             evaluation = _Evaluation(query, name)
-            used_engine, reason = _engine_decision(name, engine, {})
-            evaluation.kernel = used_engine == "kernel"
+            evaluation.kernel = runs_on_columns(name)
             if evaluation.kernel and needs_reduction(query):
                 evaluation.kernel = False
-                reason = (
-                    "r-hierarchical instance reduction is per-query; "
-                    "prepared columns cannot be shared, running cold"
-                )
-            if reason is not None and stats is not None:
-                stats.note("kernel.fallback_reason", reason)
+                if stats is not None:
+                    stats.note(
+                        "kernel.fallback_reason",
+                        "r-hierarchical instance reduction is per-query; "
+                        "prepared columns cannot be shared, running cold",
+                    )
             evaluations[key] = evaluation
             order.append(evaluation)
         evaluation.indices.append(index)
@@ -382,14 +343,29 @@ def run_batch(
     # Execute each distinct evaluation once.
     # ------------------------------------------------------------------
     kernel_evals = [e for e in order if e.kernel]
-    if n_workers > 1 and kernel_evals:
-        _run_kernel_batch_parallel(
-            kernel_evals, prepared, tau, n_workers, parallel_mode, stats
+    if workers is not None and workers > 1 and kernel_evals:
+        from ..parallel.executor import sweep_sharded
+        from ..parallel.partition import partition_timeline
+
+        view = prepared.view(tau, stats=stats)
+        prepared.record_reuse(view, stats)
+        run_queries = [evaluation.query for evaluation in kernel_evals]
+        shared = sweep_sharded(
+            run_queries,
+            view,
+            partition_timeline(prepared.database, workers),
+            tau,
+            workers,
+            parallel_mode,
+            stats,
         )
+        for evaluation, result in zip(kernel_evals, shared):
+            evaluation.result = result
     else:
         for evaluation in kernel_evals:
-            evaluation.result = prepared_kernel_join(
-                evaluation.query, prepared, tau=tau, stats=stats
+            evaluation.result = kernel_timefirst_join(
+                evaluation.query, prepared.database, tau=tau, stats=stats,
+                prepared=prepared,
             )
     for evaluation in order:
         if evaluation.kernel:
@@ -403,7 +379,6 @@ def run_batch(
             sub_db,
             tau=tau,
             algorithm=evaluation.name,
-            engine=engine,
             stats=stats,
             workers=workers,
             parallel_mode=parallel_mode,
@@ -440,73 +415,3 @@ def run_batch(
             if position and stats is not None:
                 stats.incr("prepared.shared_results")
     return results  # type: ignore[return-value]
-
-
-def _run_kernel_batch_parallel(
-    kernel_evals: List[_Evaluation],
-    prepared: PreparedDatabase,
-    tau: Number,
-    workers: int,
-    mode: str,
-    stats: Optional[ExecutionStats],
-) -> None:
-    """Run every kernel evaluation of a batch over one shard fan-out.
-
-    The τ-view is sharded once; each worker receives its column subset
-    once and sweeps *all* batch queries over it (restricting locally per
-    distinct relation subset). Per-query ownership filtering keeps the
-    exactly-once merge rule of :mod:`repro.parallel` intact, so results
-    equal the serial prepared path up to row order.
-    """
-    from ..parallel.executor import MODES, run_batch_tasks
-    from ..parallel.partition import partition_timeline
-    from ..parallel.worker import BatchShardTask
-    from .columns import shard_row_ids
-
-    if mode not in MODES:
-        raise QueryError(f"unknown parallel mode {mode!r}; expected {MODES}")
-    view = prepared.view(tau, stats=stats)
-    _record_reuse(prepared, view, stats)
-    partition = partition_timeline(prepared.database, workers)
-    assignments = shard_row_ids(view, partition.cuts, tau)
-    replicated = sum(len(rids) for rids in assignments) - view.n_rows
-    run_queries = [evaluation.query for evaluation in kernel_evals]
-    tasks = [
-        BatchShardTask(
-            shard=shard,
-            queries=run_queries,
-            tau=tau,
-            cuts=partition.cuts,
-            columns=view.subset(rids),
-            collect_stats=stats is not None,
-        )
-        for shard, rids in enumerate(assignments)
-    ]
-    n_procs = min(workers, len(tasks))
-    outcomes = run_batch_tasks(tasks, n_procs, mode)
-    outcomes = sorted(outcomes, key=lambda outcome: outcome.shard)
-    for position, evaluation in enumerate(kernel_evals):
-        rows = [
-            row
-            for outcome in outcomes
-            for row in outcome.rows_per_query[position]
-        ]
-        evaluation.result = JoinResultSet(evaluation.query.attrs, rows)
-    if stats is not None:
-        for outcome in outcomes:
-            if outcome.stats is not None:
-                stats.merge(outcome.stats)
-        stats.incr("parallel.shards", len(outcomes))
-        stats.incr("parallel.workers", n_procs)
-        stats.incr("parallel.replicated", replicated)
-        times = []
-        for outcome in outcomes:
-            stats.observe("parallel.shard_input", outcome.input_size)
-            stats.add_time(
-                f"phase.parallel.shard{outcome.shard:02d}", outcome.seconds
-            )
-            times.append(outcome.seconds)
-        stats.add_time("phase.parallel.workers", sum(times))
-        mean = sum(times) / len(times) if times else 0.0
-        skew = round(100 * max(times) / mean) if mean > 0 else 100
-        stats.peak("parallel.skew_pct_peak", skew)

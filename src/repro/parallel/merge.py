@@ -1,9 +1,10 @@
 """Exactly-once merge: concatenate shard outputs, aggregate telemetry.
 
 Because the ownership rule guarantees each join result is emitted by
-exactly one shard, the merge is a plain concatenation in shard order —
-no hashing, no deduplication, no interval coalescing. The only other
-work here is folding per-shard :class:`~repro.obs.ExecutionStats` into
+exactly one shard, the merge is a plain concatenation in shard order,
+per task query — no hashing, no deduplication, no interval coalescing;
+single-query runs and prepared batches share it. The only other work
+here is folding per-shard :class:`~repro.obs.ExecutionStats` into
 the caller's stats object and adding the parallel-layer counters
 documented in ``DESIGN.md``:
 
@@ -22,7 +23,7 @@ documented in ``DESIGN.md``:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.query import JoinQuery
 from ..core.result import JoinResultSet
@@ -31,22 +32,23 @@ from .worker import ShardOutcome
 
 
 def merge_outcomes(
-    query: JoinQuery,
+    queries: Sequence[JoinQuery],
     outcomes: Sequence[ShardOutcome],
     stats: Optional[ExecutionStats] = None,
     workers: int = 1,
     replicated: int = 0,
-) -> JoinResultSet:
-    """Reassemble the global :class:`JoinResultSet` from shard outcomes.
+) -> List[JoinResultSet]:
+    """Reassemble one global :class:`JoinResultSet` per task query.
 
     ``outcomes`` may arrive in any order (process pools preserve order,
     but nothing here depends on it); rows are concatenated in shard
     order so repeated runs produce identical row sequences.
     """
     ordered = sorted(outcomes, key=lambda o: o.shard)
-    result = JoinResultSet(query.attrs)
+    results = [JoinResultSet(query.attrs) for query in queries]
     for outcome in ordered:
-        result.extend(outcome.rows)
+        for position, result in enumerate(results):
+            result.extend(outcome.rows[position])
 
     if stats is not None:
         for outcome in ordered:
@@ -58,7 +60,9 @@ def merge_outcomes(
         times = []
         for outcome in ordered:
             stats.observe("parallel.shard_input", outcome.input_size)
-            stats.observe("parallel.shard_results", outcome.owned_results)
+            stats.observe(
+                "parallel.shard_results", sum(len(rows) for rows in outcome.rows)
+            )
             stats.add_time(
                 f"phase.parallel.shard{outcome.shard:02d}", outcome.seconds
             )
@@ -67,4 +71,4 @@ def merge_outcomes(
         mean = sum(times) / len(times) if times else 0.0
         skew = round(100 * max(times) / mean) if mean > 0 else 100
         stats.peak("parallel.skew_pct_peak", skew)
-    return result
+    return results

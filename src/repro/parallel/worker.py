@@ -1,4 +1,4 @@
-"""Shard worker: runs one serial algorithm on one time shard.
+"""Shard worker: runs one time shard of a sharded join.
 
 :func:`run_shard` is the function shipped to worker processes. It is a
 plain module-level function over picklable dataclasses, so it works
@@ -6,63 +6,72 @@ under every ``multiprocessing`` start method including ``spawn`` (where
 the child interpreter imports this module fresh and receives the task by
 pickle — nothing may depend on inherited parent state).
 
-The worker evaluates the *unmodified* registered algorithm on its shard
-sub-database, then applies the ownership filter: only results whose
-intersection interval ends inside the shard's owned range survive (see
-:mod:`repro.parallel.partition`). Everything else is a boundary
-duplicate that some neighbouring shard owns.
+A task is one of two shapes: a :class:`ShardTask` runs the *unmodified*
+registered algorithm on its shard sub-database (object rows), a
+:class:`BatchShardTask` runs the kernel pipeline for one or more queries
+on its shard column subset. Either way the worker then applies the
+ownership filter: only results whose intersection interval ends inside
+the shard's owned range survive (see :mod:`repro.parallel.partition`).
+Everything else is a boundary duplicate that some neighbouring shard
+owns.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.interval import Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
-from ..core.result import ResultRow
+from ..core.result import JoinResultSet, ResultRow
 from ..obs import ExecutionStats
 from .partition import TimePartition
 
 
 @dataclass
 class ShardTask:
-    """Everything one worker needs, pickled exactly once per shard.
+    """One shard of an object-row run, pickled exactly once per shard.
 
-    Two payload shapes: the object engine ships a shard sub-database
-    (``database``); the kernel engine ships pre-interned columns
-    (``columns`` — see :meth:`repro.kernels.KernelColumns.subset`) and
-    leaves ``database`` ``None``, so no object rows cross the process
-    boundary. On the kernel path ``query`` is the *run* query (already
-    validated / τ-shrunk / r-hierarchically reduced by the parent) and
-    the worker only sweeps, de-interns and expands.
+    Carries the shard sub-database; the worker runs the registered
+    ``algorithm`` on it with ``kwargs``.
     """
 
     shard: int
     query: JoinQuery
-    database: Optional[Dict[str, TemporalRelation]]
+    database: Dict[str, TemporalRelation]
     tau: Number
     algorithm: str
     cuts: Tuple[Number, ...]
     kwargs: Dict = field(default_factory=dict)
     collect_stats: bool = False
-    columns: Optional[object] = None  # repro.kernels.KernelColumns
+
+    @property
+    def input_size(self) -> int:
+        return sum(len(rel) for rel in self.database.values())
+
+    def evaluate(self, stats: Optional[ExecutionStats]) -> Iterator[JoinResultSet]:
+        from ..algorithms.registry import get_algorithm
+
+        kwargs = dict(self.kwargs)
+        if stats is not None:
+            kwargs["stats"] = stats
+        fn = get_algorithm(self.algorithm)
+        yield fn(self.query, self.database, tau=self.tau, **kwargs)
 
 
 @dataclass
 class BatchShardTask:
-    """One shard's share of a whole prepared-batch fan-out.
+    """One shard of a column run: every query sweeps one column subset.
 
-    The kernel-only sibling of :class:`ShardTask` used by
-    :func:`repro.kernels.prepared.run_batch`: one column subset
-    (``columns`` — the shard's slice of the prepared τ-view, all
-    relations) plus *every* kernel-eligible run query of the batch. The
-    worker restricts the shard columns per distinct relation subset
-    locally and sweeps each query in turn, so the shard payload crosses
-    the process boundary exactly once per batch instead of once per
-    query — and, as always on the kernel path, contains no object rows.
+    ``columns`` is the shard's slice of the run columns (see
+    :meth:`repro.kernels.KernelColumns.subset`), so no object rows cross
+    the process boundary. ``queries`` are *run* queries — already
+    validated, τ-shrunk and r-hierarchically reduced by the parent — and
+    a sharded single query is a one-query task. The worker restricts the
+    shard columns per distinct relation subset locally, so one payload
+    serves a whole prepared batch.
     """
 
     shard: int
@@ -72,132 +81,54 @@ class BatchShardTask:
     columns: object  # repro.kernels.KernelColumns
     collect_stats: bool = False
 
+    @property
+    def input_size(self) -> int:
+        return self.columns.n_rows
 
-@dataclass
-class BatchShardOutcome:
-    """One shard's owned rows for every query of a batch."""
+    def evaluate(self, stats: Optional[ExecutionStats]) -> Iterator[JoinResultSet]:
+        from ..kernels import sweep_columns
 
-    shard: int
-    rows_per_query: List[List[ResultRow]]
-    input_size: int
-    seconds: float
-    stats: Optional[ExecutionStats] = None
+        restricted: Dict[Tuple[str, ...], object] = {}
+        for query in self.queries:
+            keep = tuple(sorted(query.edge_names))
+            columns = restricted.get(keep)
+            if columns is None:
+                columns = restricted[keep] = self.columns.restrict(keep)
+            yield sweep_columns(query, columns, self.tau, stats=stats)
 
 
 @dataclass
 class ShardOutcome:
-    """One shard's owned results plus its execution profile."""
+    """One shard's owned rows (one list per task query) and its profile."""
 
     shard: int
-    rows: List[ResultRow]
+    rows: List[List[ResultRow]]
     input_size: int
-    raw_results: int
-    owned_results: int
     seconds: float
     stats: Optional[ExecutionStats] = None
 
 
-def run_shard(task: ShardTask) -> ShardOutcome:
+def run_shard(task: Union[ShardTask, BatchShardTask]) -> ShardOutcome:
     """Evaluate ``task`` and keep only the results this shard owns.
 
-    The algorithm is resolved from the registry *inside* the worker —
-    functions are looked up by name rather than pickled, which keeps the
-    payload small and spawn-safe. Exceptions propagate; the pool in
+    Algorithms are resolved from the registry *inside* the worker —
+    looked up by name rather than pickled, which keeps the payload small
+    and spawn-safe. Exceptions propagate; the pool in
     :mod:`repro.parallel.executor` re-raises them in the parent.
     """
     partition = TimePartition(task.cuts)
     stats = ExecutionStats() if task.collect_stats else None
-
-    start = time.perf_counter()
-    if task.columns is not None:
-        result = _run_kernel_shard(task, stats)
-        input_size = task.columns.n_rows
-    else:
-        from ..algorithms.registry import get_algorithm
-
-        fn = get_algorithm(task.algorithm)
-        kwargs = dict(task.kwargs)
-        if stats is not None:
-            kwargs["stats"] = stats
-        result = fn(task.query, task.database, tau=task.tau, **kwargs)
-        input_size = sum(len(rel) for rel in task.database.values())
-    seconds = time.perf_counter() - start
-
     shard = task.shard
     owner = partition.owner
-    owned = [row for row in result.rows if owner(row[1].hi) == shard]
+
+    start = time.perf_counter()
+    owned = []
+    for result in task.evaluate(stats):
+        owned.append([row for row in result.rows if owner(row[1].hi) == shard])
     return ShardOutcome(
         shard=shard,
         rows=owned,
-        input_size=input_size,
-        raw_results=len(result),
-        owned_results=len(owned),
-        seconds=seconds,
-        stats=stats,
-    )
-
-
-def run_batch_shard(task: BatchShardTask) -> BatchShardOutcome:
-    """Sweep every batch query over one shard's prepared columns.
-
-    Mirrors the kernel arm of :func:`run_shard` query by query — make
-    state, sweep, de-intern, expand, ownership-filter — but reuses the
-    shard's column payload (and its per-relation-subset restrictions)
-    across the whole batch. Spawn-safe for the same reasons as
-    :func:`run_shard`: module-level function, picklable dataclasses.
-    """
-    from ..kernels import deintern_results, kernel_sweep, make_state
-
-    partition = TimePartition(task.cuts)
-    stats = ExecutionStats() if task.collect_stats else None
-    shard = task.shard
-    owner = partition.owner
-    half = task.tau / 2 if task.tau else 0
-    all_relations = set(task.columns.relations)
-
-    start = time.perf_counter()
-    restricted: Dict[Tuple[str, ...], object] = {}
-    rows_per_query: List[List[ResultRow]] = []
-    for query in task.queries:
-        keep = tuple(sorted(query.edge_names))
-        columns = restricted.get(keep)
-        if columns is None:
-            columns = (
-                task.columns
-                if set(keep) == all_relations
-                else task.columns.restrict(keep)
-            )
-            restricted[keep] = columns
-        state = make_state(query, columns, stats=stats)
-        result = kernel_sweep(query, columns, state, stats=stats)
-        result = deintern_results(columns.domains, result)
-        result = result.expand_intervals(half)
-        rows_per_query.append(
-            [row for row in result.rows if owner(row[1].hi) == shard]
-        )
-    return BatchShardOutcome(
-        shard=shard,
-        rows_per_query=rows_per_query,
-        input_size=task.columns.n_rows,
+        input_size=task.input_size,
         seconds=time.perf_counter() - start,
         stats=stats,
     )
-
-
-def _run_kernel_shard(task: ShardTask, stats: Optional[ExecutionStats]):
-    """Sweep one shard of pre-interned columns (kernel engine).
-
-    The parent already validated, τ/2-shrunk and (if needed) reduced
-    the instance before interning, so the worker's job is exactly the
-    remaining pipeline: sweep the shard's pre-sorted event codes,
-    de-intern via the shared domain tables, and expand result intervals
-    back by τ/2. The ownership filter in :func:`run_shard` then sees
-    the same expanded intervals the object path produces.
-    """
-    from ..kernels import deintern_results, kernel_sweep, make_state
-
-    columns = task.columns
-    state = make_state(task.query, columns, stats=stats)
-    result = kernel_sweep(task.query, columns, state, stats=stats)
-    result = deintern_results(columns.domains, result)
-    return result.expand_intervals(task.tau / 2 if task.tau else 0)

@@ -8,7 +8,7 @@ Three layers:
 * strategy equality — every registered binary strategy returns the
   same multiset on the same (overlaps) workload, property-tested;
 * registry dispatch — ``temporal_join(..., predicate=...)`` matches
-  the oracle on binary queries across engines, applies τ after pair
+  the oracle on binary queries on both substrates, applies τ after pair
   production, and raises the documented errors everywhere else.
 """
 
@@ -31,11 +31,13 @@ from repro.algorithms.interval_join import (  # noqa: E402
     forward_scan_join,
     interval_join,
 )
+from repro.algorithms.binary import binary_temporal_join  # noqa: E402
 from repro.algorithms.registry import explain_analyze, temporal_join  # noqa: E402
 from repro.core.errors import QueryError  # noqa: E402
 from repro.core.interval import Interval  # noqa: E402
 from repro.core.query import JoinQuery  # noqa: E402
 from repro.core.relation import TemporalRelation  # noqa: E402
+from repro.core.result import JoinResultSet  # noqa: E402
 from repro.obs import ExecutionStats  # noqa: E402
 
 INF = float("inf")
@@ -242,10 +244,18 @@ class TestRegistryDispatch:
     def test_every_engine_matches_oracle(self, predicate):
         query, db = line2_database(random.Random(hash(predicate) % 9999))
         want = registry_oracle(query, db, predicate)
+        # The object-row reference: the lazy-sweep binary join on rows.
+        joined = binary_temporal_join(
+            db["R1"], db["R2"], strategy="lazy-sweep", predicate=predicate
+        )
+        perm = joined.positions(query.attrs) if len(joined) else ()
+        obj = JoinResultSet(
+            query.attrs,
+            [(tuple(v[p] for p in perm), iv) for v, iv in joined],
+        )
+        assert obj.normalized() == want
         for kwargs in (
-            {},                      # auto → kernel path
-            {"engine": "object"},
-            {"engine": "kernel"},
+            {},                      # auto → rank-space kernel path
             {"algorithm": "baseline"},
         ):
             got = temporal_join(query, db, predicate=predicate, **kwargs)

@@ -152,3 +152,84 @@ class TestIntervalTreeUnbounded:
         idx.insert(Interval(0, 5), "short")
         hits = {p for _, p in idx.overlapping(Interval(50, 60))}
         assert hits == {"always"}
+
+
+def _run_temporal_join(query, db, **kwargs):
+    from repro.algorithms.registry import temporal_join
+
+    return temporal_join(query, db, **kwargs)
+
+
+def _run_explain_analyze(query, db, **kwargs):
+    from repro.algorithms.registry import explain_analyze
+
+    return explain_analyze(query, db, **kwargs)
+
+
+def _run_batch(query, db, **kwargs):
+    from repro.kernels.prepared import prepare, run_batch
+
+    return run_batch([query], prepare(db), **kwargs)
+
+
+_ENTRY_POINTS = [_run_temporal_join, _run_explain_analyze, _run_batch]
+
+
+class TestDispatchArguments:
+    """Bad ``workers`` / ``parallel_mode`` / algorithm kwargs fail at the
+    API boundary with :class:`QueryError`, the same way at every entry
+    point — never a raw ``TypeError`` or a silent serial run."""
+
+    @pytest.fixture
+    def line2(self):
+        q = JoinQuery.line(2)
+        db = {
+            "R1": TemporalRelation("R1", ("x1", "x2"), [((1, 2), (0, 5))]),
+            "R2": TemporalRelation("R2", ("x2", "x3"), [((2, 3), (1, 9))]),
+        }
+        return q, db
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
+    def test_bad_workers_rejected(self, line2, entry, workers):
+        q, db = line2
+        with pytest.raises(QueryError, match="workers"):
+            entry(q, db, workers=workers)
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_bad_parallel_mode_rejected(self, line2, entry):
+        q, db = line2
+        with pytest.raises(QueryError, match="parallel mode"):
+            entry(q, db, workers=2, parallel_mode="threads")
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_valid_workers_accepted(self, line2, entry):
+        q, db = line2
+        for workers in (None, 1, 2):
+            entry(q, db, workers=workers, parallel_mode="inline")
+
+    @pytest.mark.parametrize("entry", [_run_temporal_join, _run_explain_analyze])
+    @pytest.mark.parametrize(
+        "algorithm", ["timefirst", "hybrid", "auto", "baseline"]
+    )
+    @pytest.mark.parametrize(
+        "kwargs", [{"bogus": 1}, {"engine": "kernel"}], ids=["bogus", "engine"]
+    )
+    def test_unknown_algorithm_kwargs_rejected(
+        self, line2, entry, algorithm, kwargs
+    ):
+        q, db = line2
+        (name,) = kwargs
+        with pytest.raises(QueryError, match=f"{name}.*accepts") as info:
+            entry(q, db, algorithm=algorithm, **kwargs)
+        assert "tau" in str(info.value)  # names the accepted keywords
+
+    def test_unknown_kwargs_rejected_sharded_and_batch(self, line2):
+        q, db = line2
+        with pytest.raises(QueryError, match="engine"):
+            _run_temporal_join(
+                q, db, algorithm="timefirst", workers=2,
+                parallel_mode="inline", engine="kernel",
+            )
+        with pytest.raises(QueryError, match="engine"):
+            _run_batch(q, db, engine="kernel")

@@ -22,10 +22,11 @@ from repro.kernels import (
     KernelColumns,
     build_columns,
     kernel_timefirst_join,
+    runs_on_columns,
     shard_row_ids,
-    supports_kernel,
 )
 from repro.algorithms.registry import available_algorithms
+from repro.algorithms.timefirst import timefirst_join
 
 from conftest import random_database
 
@@ -44,28 +45,27 @@ def star3(rng):
 
 class TestDispatch:
     def test_engine_values_accepted(self, line3):
+        """Stock timefirst (columns) equals the object-row implementation."""
         query, db = line3
-        ref = temporal_join(query, db, algorithm="timefirst", engine="object")
-        for engine in ("auto", "kernel"):
-            got = temporal_join(query, db, algorithm="timefirst", engine=engine)
-            assert got.normalized() == ref.normalized()
+        ref = timefirst_join(query, db)
+        got = temporal_join(query, db, algorithm="timefirst")
+        assert got.normalized() == ref.normalized()
 
     def test_unknown_engine_rejected(self, line3):
+        """``engine=`` is gone: it is an unknown algorithm keyword."""
         query, db = line3
-        with pytest.raises(QueryError, match="engine"):
-            temporal_join(query, db, engine="vectorized")
+        for value in ("vectorized", "kernel", "object"):
+            with pytest.raises(QueryError, match="engine"):
+                temporal_join(query, db, engine=value)
 
-    def test_kernel_engine_on_unsupported_algorithm_degrades(self, star3):
-        """Satellite bugfix: ``engine=`` must be *stripped* for algorithms
-        without a kernel fast path, never forwarded (TypeError) nor
-        rejected (QueryError)."""
+    def test_every_algorithm_matches_object_path(self, star3):
         # star3 is hierarchical, so every registered algorithm (including
         # timefirst-cm) accepts it.
         query, db = star3
+        ref = timefirst_join(query, db).normalized()
         for algorithm in available_algorithms():
-            ref = temporal_join(query, db, algorithm=algorithm, engine="object")
-            got = temporal_join(query, db, algorithm=algorithm, engine="kernel")
-            assert got.normalized() == ref.normalized(), algorithm
+            got = temporal_join(query, db, algorithm=algorithm)
+            assert got.normalized() == ref, algorithm
 
     def test_state_factory_forces_object_path(self, star3):
         query, db = star3
@@ -73,19 +73,20 @@ class TestDispatch:
 
         stats = ExecutionStats()
         out = temporal_join(
-            query, db, algorithm="timefirst", engine="kernel",
+            query, db, algorithm="timefirst",
             state_factory=lambda q, d: HierarchicalState(q),
             stats=stats,
         )
-        ref = temporal_join(query, db, algorithm="timefirst", engine="object")
+        ref = timefirst_join(query, db)
         assert out.normalized() == ref.normalized()
         # The kernel never ran: no interning pass happened.
         assert "kernel.sort_calls" not in stats
 
-    def test_supports_kernel_probe(self):
-        assert supports_kernel("timefirst")
+    def test_runs_on_columns_rule(self):
+        assert runs_on_columns("timefirst")
+        assert not runs_on_columns("timefirst", {"state_factory": object()})
         for name in ("baseline", "hybrid", "joinfirst", "naive", "timefirst-cm"):
-            assert not supports_kernel(name)
+            assert not runs_on_columns(name)
 
     def test_plan_reports_engine(self):
         assert plan(JoinQuery.star(3)).engine == "kernel"
@@ -97,12 +98,9 @@ class TestDispatch:
         report = explain_analyze(query, db, algorithm="timefirst")
         assert report.engine == "kernel"
         assert "engine:     kernel" in report.render()
-        report = explain_analyze(
-            query, db, algorithm="timefirst", engine="object"
-        )
-        assert report.engine == "object"
         report = explain_analyze(query, db, algorithm="baseline")
         assert report.engine == "object"
+        assert "engine:     object" in report.render()
 
 
 class TestCounters:
@@ -132,10 +130,9 @@ class TestCounters:
     def test_sweep_counters_match_object_engine(self, line3, star3):
         for query, db in (line3, star3):
             kernel, obj = ExecutionStats(), ExecutionStats()
-            temporal_join(query, db, algorithm="timefirst",
-                          engine="kernel", stats=kernel)
-            temporal_join(query, db, algorithm="timefirst",
-                          engine="object", stats=obj)
+            temporal_join(query, db, algorithm="timefirst", stats=kernel)
+            timefirst_join(query, db, stats=obj)
+            assert kernel["kernel.sort_calls"] == 1
             for key in ("sweep.events", "sweep.inserts",
                         "sweep.enumerate_calls", "sweep.active_peak",
                         "results"):
@@ -144,10 +141,8 @@ class TestCounters:
     def test_hier_counters_match_object_engine(self, star3):
         query, db = star3
         kernel, obj = ExecutionStats(), ExecutionStats()
-        temporal_join(query, db, algorithm="timefirst",
-                      engine="kernel", stats=kernel)
-        temporal_join(query, db, algorithm="timefirst",
-                      engine="object", stats=obj)
+        temporal_join(query, db, algorithm="timefirst", stats=kernel)
+        timefirst_join(query, db, stats=obj)
         for key in ("hier.inserts", "hier.deletes", "hier.support_updates",
                     "hier.report_fragments"):
             assert kernel.get(key) == obj.get(key), key
@@ -184,7 +179,7 @@ class TestColumns:
         columns = build_columns(db)
         assert columns.rank_times[0] == -inf
         assert columns.rank_times[-1] == inf
-        ref = temporal_join(query, db, algorithm="timefirst", engine="object")
+        ref = timefirst_join(query, db)
         got = kernel_timefirst_join(query, db)
         assert got.normalized() == ref.normalized()
 
@@ -242,7 +237,7 @@ class TestDuplicateActiveTuples:
             "S": TemporalRelation("S", ("b", "c"), [(("b1", "c1"), (2, 12))]),
         }
         with pytest.raises(QueryError, match="duplicate active tuple"):
-            temporal_join(query, db, algorithm="timefirst", engine="object")
+            timefirst_join(query, db)
         with pytest.raises(QueryError, match="duplicate active tuple"):
             kernel_timefirst_join(query, db)
 
@@ -280,13 +275,11 @@ class TestTauReduction:
     def test_kernel_tau_matches_object(self, line3, star3):
         for query, db in (line3, star3):
             for tau in (0, 1, 7):
-                ref = temporal_join(query, db, tau=tau,
-                                    algorithm="timefirst", engine="object")
-                got = temporal_join(query, db, tau=tau,
-                                    algorithm="timefirst", engine="kernel")
+                ref = timefirst_join(query, db, tau=tau)
+                got = temporal_join(query, db, tau=tau, algorithm="timefirst")
                 assert got.normalized() == ref.normalized(), tau
 
     def test_non_finite_tau_still_rejected(self, line3):
         query, db = line3
         with pytest.raises(QueryError):
-            temporal_join(query, db, tau=math.inf, engine="kernel")
+            temporal_join(query, db, tau=math.inf, algorithm="timefirst")

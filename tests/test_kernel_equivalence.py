@@ -1,10 +1,12 @@
-"""Hypothesis: kernel and object engines are observationally identical.
+"""Hypothesis: kernel and object substrates are observationally identical.
 
 Satellite property suite: for randomly drawn instances —
 including duplicate endpoint values, zero-length intervals and infinite
-endpoints — ``engine="kernel"`` and ``engine="object"`` produce the same
-normalized :class:`~repro.core.result.JoinResultSet` for every
-registered algorithm, for τ ∈ {0, >0}, and for workers ∈ {1, 3}.
+endpoints — ``temporal_join(algorithm="timefirst")`` (the columnar
+kernel), the object-row ``timefirst_join`` and the ``naive``
+oracle produce the same normalized
+:class:`~repro.core.result.JoinResultSet`, for τ ∈ {0, >0} and for
+workers ∈ {1, 3}; every other registered algorithm matches ``naive``.
 
 Instances are deliberately tiny (≤ 6 tuples per relation, domain of 3,
 endpoints in a dozen-value range) so that endpoint collisions and
@@ -17,7 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro import temporal_join  # noqa: E402
+from repro.algorithms.naive import naive_join  # noqa: E402
 from repro.algorithms.registry import available_algorithms  # noqa: E402
+from repro.algorithms.timefirst import timefirst_join  # noqa: E402
 from repro.core.errors import PlanError, QueryError  # noqa: E402
 from repro.core.interval import Interval  # noqa: E402
 from repro.core.query import JoinQuery  # noqa: E402
@@ -66,15 +70,20 @@ def _instance(draw):
     return query, database
 
 
+def _object_reference(query, database, tau):
+    """The object-row ``timefirst_join``, checked against the naive oracle."""
+    want = timefirst_join(query, database, tau=tau).normalized()
+    assert want == naive_join(query, database, tau=tau).normalized()
+    return want
+
+
 @settings(max_examples=60, deadline=None)
 @given(instance=_instance(), tau=st.sampled_from([0, 3]))
 def test_kernel_matches_object_serial(instance, tau):
     query, database = instance
-    want = temporal_join(
-        query, database, tau=tau, algorithm="timefirst", engine="object"
-    ).normalized()
+    want = _object_reference(query, database, tau)
     got = temporal_join(
-        query, database, tau=tau, algorithm="timefirst", engine="kernel"
+        query, database, tau=tau, algorithm="timefirst"
     ).normalized()
     assert got == want
 
@@ -83,12 +92,10 @@ def test_kernel_matches_object_serial(instance, tau):
 @given(instance=_instance(), tau=st.sampled_from([0, 3]))
 def test_kernel_matches_object_parallel(instance, tau):
     query, database = instance
-    want = temporal_join(
-        query, database, tau=tau, algorithm="timefirst", engine="object"
-    ).normalized()
+    want = _object_reference(query, database, tau)
     for workers in (1, 3):
         got = temporal_join(
-            query, database, tau=tau, algorithm="timefirst", engine="kernel",
+            query, database, tau=tau, algorithm="timefirst",
             workers=workers, parallel_mode="inline",
         ).normalized()
         assert got == want, workers
@@ -96,27 +103,18 @@ def test_kernel_matches_object_parallel(instance, tau):
 
 @settings(max_examples=25, deadline=None)
 @given(instance=_instance(), tau=st.sampled_from([0, 3]))
-def test_engine_kwarg_uniform_across_registry(instance, tau):
-    """``engine="kernel"`` is accepted by *every* registered algorithm
-    and never changes its answer (algorithms without a fast path strip
-    it and run unchanged)."""
+def test_registry_matches_naive(instance, tau):
+    """Every registered algorithm, whichever substrate it runs on,
+    returns the naive oracle's answer — or, when structurally
+    inapplicable to the instance, a ``repro`` error."""
     query, database = instance
+    want = naive_join(query, database, tau=tau).normalized()
     for algorithm in available_algorithms():
         try:
-            want = temporal_join(
-                query, database, tau=tau, algorithm=algorithm, engine="object"
-            ).normalized()
+            got = temporal_join(query, database, tau=tau, algorithm=algorithm)
         except (PlanError, QueryError):
-            # e.g. timefirst-cm on a non-hierarchical query, or
-            # hybrid-interval on a cyclic one; the engine kwarg must not
-            # change *that* outcome either.
-            with pytest.raises((PlanError, QueryError)):
-                temporal_join(
-                    query, database, tau=tau, algorithm=algorithm,
-                    engine="kernel",
-                )
+            # timefirst-cm on a non-hierarchical query, or
+            # hybrid-interval on a cyclic one.
+            assert algorithm in ("timefirst-cm", "hybrid-interval")
             continue
-        got = temporal_join(
-            query, database, tau=tau, algorithm=algorithm, engine="kernel"
-        ).normalized()
-        assert got == want, algorithm
+        assert got.normalized() == want, algorithm

@@ -228,19 +228,10 @@ class TestRegistryRouting:
         kwargs = {"workers": 4, "parallel_mode": "inline", "order": ("R1",)}
         stripped = strip_unsupported_kwargs(joinfirst_join, kwargs)
         assert stripped == {"workers": 4, "parallel_mode": "inline"}
-        # "engine" joined the dispatch-layer kwargs with the kernel
-        # substrate, "prepared" with the prepared-columns engine,
-        # "predicate" with the Allen-predicate dispatch: algorithms
-        # without those paths must have them stripped rather than see
-        # them and error.
+        # "prepared" joined the dispatch-layer kwargs with the
+        # prepared-columns engine, "predicate" with the Allen-predicate
+        # dispatch: algorithms without those paths must have them
+        # stripped rather than see them and error.
         assert EXECUTOR_KWARGS == {
-            "workers", "parallel_mode", "engine", "prepared", "predicate",
+            "workers", "parallel_mode", "prepared", "predicate",
         }
-
-    def test_strip_keeps_engine_kwarg(self):
-        from repro.algorithms.joinfirst import joinfirst_join
-
-        stripped = strip_unsupported_kwargs(
-            joinfirst_join, {"engine": "kernel", "junk": 1}
-        )
-        assert stripped == {"engine": "kernel"}

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro import prepare, run_batch, temporal_join
+from repro.algorithms.registry import get_algorithm
 from repro.core.errors import InvariantError, QueryError
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
@@ -29,9 +30,8 @@ def star3():
 
 
 def _object_result(query, db, tau=0, algorithm="timefirst"):
-    return temporal_join(
-        query, db, tau=tau, algorithm=algorithm, engine="object"
-    ).normalized()
+    """The object-row reference: the registered algorithm, called directly."""
+    return get_algorithm(algorithm)(query, db, tau=tau).normalized()
 
 
 class TestPreparedSingleQuery:
@@ -109,11 +109,12 @@ class TestPreparedSingleQuery:
     def test_object_engine_ignores_artifact(self, line3):
         query, db = line3
         artifact = prepare(db)
+        stats = ExecutionStats()
         got = temporal_join(
-            query, db, algorithm="timefirst", engine="object",
-            prepared=artifact,
+            query, db, algorithm="baseline", prepared=artifact, stats=stats
         )
-        assert got.normalized() == _object_result(query, db)
+        assert got.normalized() == _object_result(query, db, algorithm="baseline")
+        assert "prepared.reuse" not in stats
 
     def test_explain_analyze_reports_prepared_counters(self, line3):
         from repro import explain_analyze
@@ -283,6 +284,21 @@ class TestRunBatch:
         assert stats["parallel.shards"] >= 1
         assert stats["parallel.workers"] >= 1
 
+    def test_parallel_reports_shard_results(self, line3):
+        """The batch fan-out folds its stats through the same merge as a
+        sharded single query: exactly-once rows add up."""
+        _, db = line3
+        queries = [JoinQuery.line(3), _fleet(db)[3]]  # distinct hypergraphs
+        stats = ExecutionStats()
+        results = run_batch(
+            queries, prepare(db), algorithm="timefirst", workers=2,
+            parallel_mode="inline", stats=stats,
+        )
+        total = sum(len(result) for result in results)
+        assert total > 0
+        assert stats["parallel.shard_results.total"] == total
+        assert stats["parallel.shard_results.count"] == stats["parallel.shards"]
+
     def test_empty_batch(self, line3):
         _, db = line3
         assert run_batch([], prepare(db)) == []
@@ -296,7 +312,7 @@ class TestRunBatch:
         with pytest.raises(QueryError, match="unknown algorithm"):
             run_batch([query], artifact, algorithm="quantum")
         with pytest.raises(QueryError, match="engine"):
-            run_batch([query], artifact, engine="gpu")
+            run_batch([query], artifact, engine="kernel")
         with pytest.raises(QueryError, match="finite"):
             run_batch([query], artifact, tau=float("inf"))
         with pytest.raises(QueryError, match="mode"):
@@ -402,6 +418,7 @@ class TestNeedsReduction:
         # share prepared columns) and said why.
         assert stats["prepared.fallback_queries"] == 1
         assert "reduction" in stats.notes.get("kernel.fallback_reason", "")
+        assert "kernel.fallback_reason" in stats.render()
 
 
 class TestRestrict:

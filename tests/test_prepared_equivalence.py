@@ -4,7 +4,8 @@ Acceptance property suite for the prepared-columns engine: for randomly
 drawn instances — duplicate endpoints, zero-length and ±inf intervals
 included — ``temporal_join(..., prepared=prepare(db))`` and
 :func:`repro.run_batch` produce the same normalized results as cold
-calls, across every registered algorithm, τ ∈ {0, 3} and
+calls — the object-row ``timefirst_join`` and the ``naive``
+oracle — across every registered algorithm, τ ∈ {0, 3} and
 workers ∈ {1, 3}.
 """
 
@@ -14,7 +15,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro import prepare, run_batch, temporal_join  # noqa: E402
+from repro.algorithms.naive import naive_join  # noqa: E402
 from repro.algorithms.registry import available_algorithms  # noqa: E402
+from repro.algorithms.timefirst import timefirst_join  # noqa: E402
 from repro.core.errors import PlanError, QueryError  # noqa: E402
 from repro.core.interval import Interval  # noqa: E402
 from repro.core.query import JoinQuery  # noqa: E402
@@ -60,14 +63,19 @@ def _instance(draw):
     return query, database
 
 
+def _object_reference(query, database, tau):
+    """The object-row ``timefirst_join``, checked against the naive oracle."""
+    want = timefirst_join(query, database, tau=tau).normalized()
+    assert want == naive_join(query, database, tau=tau).normalized()
+    return want
+
+
 @settings(max_examples=50, deadline=None)
 @given(instance=_instance(), tau=st.sampled_from([0, 3]))
 def test_prepared_matches_cold_serial(instance, tau):
     query, database = instance
     artifact = prepare(database)
-    want = temporal_join(
-        query, database, tau=tau, algorithm="timefirst", engine="object"
-    ).normalized()
+    want = _object_reference(query, database, tau)
     got = temporal_join(
         query, database, tau=tau, algorithm="timefirst", prepared=artifact
     ).normalized()
@@ -79,9 +87,7 @@ def test_prepared_matches_cold_serial(instance, tau):
 def test_prepared_matches_cold_parallel(instance, tau):
     query, database = instance
     artifact = prepare(database)
-    want = temporal_join(
-        query, database, tau=tau, algorithm="timefirst", engine="object"
-    ).normalized()
+    want = _object_reference(query, database, tau)
     for workers in (1, 3):
         got = temporal_join(
             query, database, tau=tau, algorithm="timefirst",
@@ -108,9 +114,7 @@ def test_run_batch_matches_cold(instance, tau):
             workers=workers, parallel_mode="inline",
         )
         for q, result in zip(fleet, results):
-            want = temporal_join(
-                q, database, tau=tau, algorithm="timefirst", engine="object"
-            ).normalized()
+            want = timefirst_join(q, database, tau=tau).normalized()
             assert result.normalized() == want, (q.attrs, workers)
 
 
@@ -118,13 +122,13 @@ def test_run_batch_matches_cold(instance, tau):
 @given(instance=_instance(), tau=st.sampled_from([0, 3]))
 def test_prepared_kwarg_uniform_across_registry(instance, tau):
     """``prepared=`` is accepted by *every* registered algorithm and
-    never changes its answer (non-kernel algorithms ignore it)."""
+    never changes its answer (object-path algorithms ignore it)."""
     query, database = instance
     artifact = prepare(database)
     for algorithm in available_algorithms():
         try:
             want = temporal_join(
-                query, database, tau=tau, algorithm=algorithm, engine="object"
+                query, database, tau=tau, algorithm=algorithm
             ).normalized()
         except (PlanError, QueryError):
             with pytest.raises((PlanError, QueryError)):
