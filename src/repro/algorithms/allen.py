@@ -284,107 +284,6 @@ def _overlap_sweep(
         stats.peak("allen.active_peak", peak)
 
 
-def _overlap_sweep_ranked(
-    ls: List[Tuple[object, int, int]],
-    rs: List[Tuple[object, int, int]],
-    times: Sequence[Number],
-    out: List[Pair],
-    stats: Optional[ExecutionStats] = None,
-) -> None:
-    """The overlap sweep over *rank-space* endpoints (kernel fast path).
-
-    Identical control flow to :func:`_overlap_sweep`, but ``lo``/``hi``
-    are endpoint ranks (dense ints from
-    :class:`~repro.kernels.columns.KernelColumns`) and the emitted
-    interval endpoints are looked up in ``times`` at the last moment.
-    Rank compression is order- and equality-preserving, so every
-    comparison is exact; integer compares keep the inner loop branchier-
-    friendly than float/object compares — this is what lets the kernel
-    and prepared engines run the predicate join without materializing a
-    single object row.
-    """
-    track = stats is not None
-    peak = 0
-    expiries = 0
-    active_l: List[Tuple[int, object]] = []
-    active_r: List[Tuple[int, object]] = []
-    append_l = active_l.append
-    append_r = active_r.append
-    emit = out.append
-    new = _object_new
-    put = _object_setattr
-    cls = Interval
-    i = j = 0
-    nl, nr = len(ls), len(rs)
-    while True:
-        if i < nl and (j >= nr or ls[i][1] <= rs[j][1]):
-            lpay, llo, lhi = ls[i]
-            i += 1
-            # The newcomer's own interval, built once and shared by every
-            # partner that outlives it.
-            livl = new(cls)
-            put(livl, "lo", times[llo])
-            put(livl, "hi", times[lhi])
-            k = 0
-            end = len(active_r)
-            while k < end:
-                rhi, rpay = active_r[k]
-                if rhi < llo:
-                    end -= 1
-                    active_r[k] = active_r[end]
-                    continue
-                if rhi >= lhi:
-                    emit((lpay, rpay, livl))
-                else:
-                    iv = new(cls)
-                    put(iv, "lo", times[llo])
-                    put(iv, "hi", times[rhi])
-                    emit((lpay, rpay, iv))
-                k += 1
-            if end != len(active_r):
-                if track:
-                    expiries += len(active_r) - end
-                del active_r[end:]
-            append_l((lhi, lpay))
-        elif j < nr:
-            rpay, rlo, rhi = rs[j]
-            j += 1
-            rivl = new(cls)
-            put(rivl, "lo", times[rlo])
-            put(rivl, "hi", times[rhi])
-            k = 0
-            end = len(active_l)
-            while k < end:
-                lhi, lpay = active_l[k]
-                if lhi < rlo:
-                    end -= 1
-                    active_l[k] = active_l[end]
-                    continue
-                if lhi >= rhi:
-                    emit((lpay, rpay, rivl))
-                else:
-                    iv = new(cls)
-                    put(iv, "lo", times[rlo])
-                    put(iv, "hi", times[lhi])
-                    emit((lpay, rpay, iv))
-                k += 1
-            if end != len(active_l):
-                if track:
-                    expiries += len(active_l) - end
-                del active_l[end:]
-            append_r((rhi, rpay))
-        else:
-            break
-        if track:
-            depth = len(active_l) + len(active_r)
-            if depth > peak:
-                peak = depth
-    if track:
-        stats.incr("allen.events", 2 * (nl + nr))
-        stats.incr("allen.expiries", expiries)
-        stats.peak("allen.active_peak", peak)
-
-
 # ----------------------------------------------------------------------
 # The general engine: one endpoint-event sweep, any atom set
 # ----------------------------------------------------------------------
@@ -637,18 +536,13 @@ def lazy_sweep_pairs_ranked(
     (:attr:`~repro.kernels.columns.KernelColumns.rank_times`). Emitted
     intervals carry the original times; all predicate comparisons happen
     on the dense int ranks, which is exact because ranking preserves
-    order and equality.
+    order and equality. Pure ``overlaps`` never reaches this path (it is
+    the default temporal join), so every predicate, unions with
+    ``overlaps`` included, runs on the shared endpoint-event sweep.
     """
     atoms = parse_predicate(predicate)
     ls = sorted(left, key=_BY_LO_HI)
     rs = sorted(right, key=_BY_LO_HI)
-    if atoms == ("overlaps",):
-        out: List[Pair] = []
-        _overlap_sweep_ranked(ls, rs, times, out, stats=stats)
-        if stats is not None:
-            stats.incr("allen.pairs", len(out))
-            stats.incr("allen.atoms")
-        return out
     fast = Interval._fast
     raw = _event_sweep(ls, rs, atoms, stats=stats)
     if stats is not None:

@@ -35,9 +35,10 @@ calls, which are no-ops).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from ..core.errors import QueryError
+from ..core.errors import QueryError, SchemaError
 from ..core.interval import Interval, IntervalLike, Number
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
@@ -46,6 +47,34 @@ from ..datastructures.heap import AddressableHeap
 from ..obs import ExecutionStats
 
 Values = Tuple[object, ...]
+
+
+def check_hashable(relation: str, values: Values) -> None:
+    """Reject a tuple the join state could not key, before it has effects."""
+    try:
+        hash(tuple(values))
+    except TypeError:
+        raise SchemaError(
+            f"tuple {values!r} in relation {relation!r} holds an unhashable "
+            "value; attribute values must be hashable"
+        ) from None
+
+
+def check_watermark(watermark: Number) -> None:
+    """Reject a watermark that is not a real number, or is NaN.
+
+    A NaN watermark compares false against every endpoint, so a drain up
+    to it would finalize every pending tuple at once.
+    """
+    try:
+        nan = math.isnan(watermark)
+    except TypeError:
+        raise QueryError(
+            f"watermark must be a real number, got "
+            f"{type(watermark).__name__}: {watermark!r}"
+        ) from None
+    if nan:
+        raise QueryError("watermark must not be NaN")
 
 
 class OnlineTemporalJoin:
@@ -116,10 +145,12 @@ class OnlineTemporalJoin:
         Arrivals must be ordered by interval start (the stream's event
         time). Before the tuple is inserted, every pending expiration
         strictly before its start is drained — those results can never
-        change again.
+        change again. A tuple holding an unhashable value raises
+        :class:`SchemaError` and changes nothing.
         """
         if self._closed:
             raise QueryError("insert after finish() on an online join")
+        check_hashable(relation, values)
         iv = Interval.coerce(interval)
         stats = self._stats
         if self._watermark is not None and iv.lo < self._watermark:
@@ -155,10 +186,13 @@ class OnlineTemporalJoin:
         expiring there — closed intervals touch) and returns the results
         finalized by them. A non-monotone call (a watermark at or below
         the current one) is a no-op: nothing new can be strictly below an
-        already-settled instant, and the watermark never regresses.
+        already-settled instant, and the watermark never regresses. A NaN
+        or non-numeric watermark raises :class:`QueryError` and changes
+        nothing.
         """
         if self._closed:
             raise QueryError("advance_to after finish() on an online join")
+        check_watermark(watermark)
         if self._watermark is not None and watermark <= self._watermark:
             if self._stats is not None and watermark < self._watermark:
                 self._stats.incr("online.watermark_regressions")

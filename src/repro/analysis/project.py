@@ -764,9 +764,6 @@ OUTCOME_SINKS = {
     "ShardOutcome": ("rows",),
 }
 
-#: Functions that *produce* shard-owned emissions returned to a merger.
-PRODUCER_FUNCTIONS = ("_join_shard",)
-
 
 def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> None:
     sinks: List[Tuple[ast.AST, ast.AST, str]] = []  # (value, anchor, label)
@@ -779,12 +776,6 @@ def _harvest_ownership(func, facts_for, summary: FileSummary, logical: str) -> N
                         sinks.append(
                             (kw.value, node, f"{node.func.id}({kw.arg}=...)")
                         )
-    if func.name in PRODUCER_FUNCTIONS:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
-                sinks.append(
-                    (node.value, node, f"return value of {func.name}()")
-                )
     if not sinks and "parallel/merge.py" not in logical:
         return
 

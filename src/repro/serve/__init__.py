@@ -4,17 +4,16 @@ The §3.1 "dynamic instance of natural join" promoted from a library class
 (:class:`~repro.algorithms.online.OnlineTemporalJoin`) into a
 long-running service:
 
-* :class:`StreamBroker` — the single ingest path: continuous per-relation
-  tuple appends, watermark-driven per-query expiry, fan-out to every
-  registered template;
+* :class:`TemporalJoinService` — the single ingest path and its
+  registry: continuous per-relation tuple appends, watermark-driven
+  per-query expiry and fan-out to every registered template, runtime
+  register/deregister with template dedup through the planner's shape
+  signatures, bulk replay of a stored database, and per-query SLO
+  telemetry (``serve.*`` counters);
 * :class:`StandingQuery` — a registered query's consumer handle: result
   subscriptions (callback and pull-iterator), a bounded buffer with an
   explicit :class:`Backpressure` policy, consistent :meth:`snapshot
-  <StandingQuery.snapshot>` reads at a watermark;
-* :class:`TemporalJoinService` — the façade: runtime register/deregister
-  with template dedup through the planner's shape signatures, bulk
-  ingest (optionally sharded across workers by the PR-2 right-endpoint
-  ownership rule), and per-query SLO telemetry (``serve.*`` counters).
+  <StandingQuery.snapshot>` reads at a watermark.
 
 Quickstart
 ----------
@@ -32,7 +31,6 @@ Quickstart
 [((1, 'h', 2), [2, 5])]
 """
 
-from .broker import StreamBroker
 from .query import Backpressure, Emission, Snapshot, StandingQuery
 from .service import TemporalJoinService
 
@@ -41,6 +39,5 @@ __all__ = [
     "Emission",
     "Snapshot",
     "StandingQuery",
-    "StreamBroker",
     "TemporalJoinService",
 ]

@@ -78,8 +78,10 @@ WORKLOADS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
-        description="Standing-query streaming service demo "
-                    "(one shared ingest pass, N standing queries)",
+        description="Standing-query streaming service demo: the stored "
+                    "workload is appended tuple by tuple in endpoint order "
+                    "through one shared ingest path that feeds N standing "
+                    "queries",
     )
     parser.add_argument(
         "workload", nargs="?", default="ldbc", choices=sorted(WORKLOADS),
@@ -90,10 +92,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--tau", type=float, default=None,
                         help="durability threshold (default: the workload's "
                              "paper value — 11 for ldbc, 170 for tpce)")
-    parser.add_argument("--workers", type=int, default=1, metavar="P",
-                        help="shard the ingest pass across P workers by the "
-                             "right-endpoint ownership rule (default 1: "
-                             "stream through the live broker)")
     parser.add_argument("--policy", default=Backpressure.DROP_OLDEST,
                         choices=Backpressure.ALL,
                         help="buffer backpressure policy for the fleet "
@@ -105,9 +103,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "offline temporal_join")
     parser.add_argument("--stats", action="store_true",
                         help="print the merged serve.* telemetry")
-    parser.add_argument("--plan-cache", default=None, metavar="DIR",
-                        help="persistent plan-cache directory backing the "
-                             "fleet's template dedup (created on first use)")
     args = parser.parse_args(argv)
 
     try:
@@ -124,7 +119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           "distinct templates, one shared ingest pass")
     print()
 
-    service = TemporalJoinService(plan_cache=args.plan_cache)
+    service = TemporalJoinService()
     handles = []
     for name, query, tau in fleet:
         handles.append(
@@ -133,7 +128,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 policy=args.policy, buffer_size=args.buffer_size,
             )
         )
-    service.ingest_database(database, workers=args.workers)
+    service.ingest_database(database)
 
     print("Per-query SLO report")
     print("-" * 40)

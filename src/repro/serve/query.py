@@ -1,7 +1,7 @@
 """Standing-query handles: subscriptions, bounded buffers, snapshots.
 
 A :class:`StandingQuery` is the consumer-facing end of one registered
-query in the serving layer. The broker pushes finalized results into it;
+query in the serving layer. The service pushes finalized results into it;
 consumers take them out through either
 
 * **subscriptions** — callbacks invoked synchronously on the ingest
@@ -66,7 +66,7 @@ class Backpressure:
 class Emission:
     """One delivered result: the row plus its delivery event time.
 
-    ``at`` is the broker event time (original, un-shrunk timeline) that
+    ``at`` is the service event time (original, un-shrunk timeline) that
     triggered the delivery — the first arrival start or declared
     watermark strictly past the result's right endpoint, or the right
     endpoint itself for end-of-stream flushes. ``at - interval.hi`` is
@@ -224,7 +224,7 @@ class StandingQuery:
             )
 
     # ------------------------------------------------------------------
-    # Producer API (the broker side)
+    # Producer API (the service side)
     # ------------------------------------------------------------------
     def _deliver(self, emissions: List[Emission], watermark: Optional[Number]) -> None:
         """Deliver finalized rows; apply the backpressure policy."""

@@ -1,34 +1,45 @@
-"""`TemporalJoinService` — the long-running serving façade.
+"""`TemporalJoinService` — standing queries over one shared ingest path.
 
 ROADMAP's serving story made concrete: *one ingest path, N standing
-queries*. The service wraps a :class:`~repro.serve.broker.StreamBroker`
-with
+queries*. Every tuple enters through :meth:`~TemporalJoinService.append`,
+which fans it out to every registered *evaluation* — one per distinct
+``(hypergraph, τ)`` template, holding a live
+:class:`~repro.algorithms.online.OnlineTemporalJoin` — and delivers
+every result the arrival (or a declared watermark) finalizes to the
+template's attached :class:`~repro.serve.query.StandingQuery` handles
+immediately, projected into each handle's output attribute order.
 
-* **runtime registration** — :meth:`register` / :meth:`deregister` add
-  and remove standing queries while the stream runs. Identical query
-  templates are deduplicated through the same shape keys the
-  prepared-columns engine uses (:func:`~repro.core.planner.plan_signature`
-  / :func:`~repro.core.planner.hypergraph_signature`): handles whose
+* **runtime registration** — :meth:`~TemporalJoinService.register` /
+  :meth:`~TemporalJoinService.deregister` add and remove standing queries
+  while the stream runs. Identical query templates are deduplicated
+  through the shape key the prepared-columns engine uses
+  (:func:`~repro.core.planner.hypergraph_signature`): handles whose
   queries share a hypergraph and τ share one live operator, and
   attribute-order variants receive projections of its rows — the
   streaming analogue of :func:`repro.kernels.prepared.run_batch`'s sweep
-  sharing. Figure-7 plans are cached per ``plan_signature`` so a
-  template fleet pays the planner once per shape
-  (``serve.plan_cache_hits`` / ``serve.plan_cache_misses``).
-* **bulk ingest** — :meth:`ingest_database` streams a stored database
-  through the broker in one endpoint-ordered pass
-  (``serve.ingest_passes``). With ``workers >= 2`` the pass is sharded
-  by the parallel executor's endpoint-balanced cuts and *right-endpoint
-  ownership* rule (PR 2): every tuple is replicated to the shards its
-  interval overlaps, each shard runs fresh per-template operators over
-  its sub-stream, and a shard delivers exactly the results whose
-  intersection right endpoint it owns — the global delivery is plain
-  concatenation in shard order, no dedup.
+  sharing.
+* **τ-durability folded into the ingest** — reusing the offline τ/2
+  reduction (§2 of the paper): a τ-template's operator receives arrivals
+  shrunk by τ/2 (tuples whose interval vanishes never enter the state)
+  and its emissions are expanded back on delivery. Because the shrink
+  shifts every start by the same ``+τ/2``, the single arrival order
+  serves every τ simultaneously, and a service watermark ``w``
+  translates to ``w + τ/2`` on the shrunk timeline.
+* **ordering, enforced once** — arrivals must be non-decreasing in
+  interval start. ``strict=True`` (default) raises on violations;
+  ``strict=False`` clamps the arrival to the service watermark and
+  records ``serve.clamped`` plus the ``serve.clamp_reason`` note,
+  mirroring the online operator's own degradation contract — never
+  silent. Malformed input (unhashable values, a NaN or non-numeric
+  watermark) is rejected before any state changes.
+* **bulk ingest** — :meth:`~TemporalJoinService.ingest_database` replays
+  a stored database through :meth:`~TemporalJoinService.append` in one
+  endpoint-ordered pass (``serve.ingest_passes``).
 * **SLO telemetry** — ``serve.*`` counters through the existing
   :mod:`repro.obs` layer: ingest volume and rate, emission event-time
   lag (finalizable point to delivery), active-set size, buffer depths,
-  drops and clamps. :meth:`telemetry` folds the per-query stats into
-  one report.
+  drops and clamps. :meth:`~TemporalJoinService.telemetry` folds the
+  per-query stats into one report.
 """
 
 from __future__ import annotations
@@ -37,60 +48,47 @@ import itertools
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..algorithms.online import OnlineTemporalJoin, arrivals_from_database
+from ..algorithms.online import (
+    OnlineTemporalJoin,
+    arrivals_from_database,
+    check_hashable,
+    check_watermark,
+)
 from ..core.errors import QueryError
 from ..core.interval import Interval, IntervalLike, Number
-from ..core.planner import Plan, hypergraph_signature, plan, plan_signature
+from ..core.planner import Plan, hypergraph_signature, plan
 from ..core.query import JoinQuery
 from ..core.relation import TemporalRelation
+from ..core.result import ResultRow
 from ..obs import ExecutionStats
-from .broker import StreamBroker
 from .query import Backpressure, Emission, StandingQuery
 
 Values = Tuple[object, ...]
 Database = Mapping[str, TemporalRelation]
 
-INGEST_MODES = ("inline", "thread")
 
+class _Evaluation:
+    """One live operator shared by every handle of one (hypergraph, τ)."""
 
-def _join_shard(
-    shard: int,
-    templates: List[Tuple[JoinQuery, Number]],
-    sub_stream: List[Tuple[str, Values, Interval]],
-    partition,
-) -> List[List[Emission]]:
-    """Join one shard's sub-stream for every ``(query, τ/2)`` template.
+    __slots__ = ("query", "half", "op", "handles", "relations")
 
-    Module-level (not a closure) so the payload stays spawn-safe: the
-    thread-pool path doesn't pickle, but a future process-pool mode
-    would, and the analyzer's spawn-safety gate holds either way.
+    def __init__(
+        self,
+        query: JoinQuery,
+        tau: Number,
+        stats: Optional[ExecutionStats] = None,
+    ) -> None:
+        self.query = query
+        self.half = tau / 2 if tau else 0
+        self.op = OnlineTemporalJoin(query, strict=True, stats=stats)
+        self.handles: List[StandingQuery] = []
+        self.relations = frozenset(query.edge_names)
 
-    Returns, per template, the emissions whose expanded right endpoint
-    this shard owns — the PR-2 ownership rule that makes concatenation
-    across shards exactly-once.
-    """
-    out: List[List[Emission]] = []
-    for query, half in templates:
-        op = OnlineTemporalJoin(query, strict=True)
-        relations = frozenset(query.edge_names)
-        for relation, values, iv in sub_stream:
-            if relation not in relations:
-                continue
-            run_iv = iv if not half else iv.shrink(half)
-            if run_iv is None:
-                continue
-            op.insert(relation, values, run_iv)
-        op.finish()
-        owned: List[Emission] = []
-        for values, iv in op.results():
-            out_iv = iv.expand(half) if half else iv
-            if partition.owner(out_iv.hi) != shard:
-                continue
-            # Finalized at its expanded right endpoint; minimal latency
-            # by construction of the one-pass operator.
-            owned.append(Emission(values, out_iv, out_iv.hi))
-        out.append(owned)
-    return out
+    def projection(self, handle_query: JoinQuery) -> Optional[Tuple[int, ...]]:
+        """Column permutation from the canonical attrs to the handle's."""
+        if tuple(handle_query.attrs) == tuple(self.query.attrs):
+            return None
+        return tuple(self.query.attrs.index(a) for a in handle_query.attrs)
 
 
 class TemporalJoinService:
@@ -99,8 +97,8 @@ class TemporalJoinService:
     Parameters
     ----------
     strict:
-        Ordering contract for the ingest path (see
-        :class:`~repro.serve.broker.StreamBroker`).
+        Ordering contract for the ingest path: raise on an arrival that
+        starts before the watermark (default), or clamp it and count it.
     stats:
         Optional service-wide :class:`ExecutionStats`; a fresh one is
         created when omitted and exposed as :attr:`stats`.
@@ -110,23 +108,22 @@ class TemporalJoinService:
         self,
         strict: bool = True,
         stats: Optional[ExecutionStats] = None,
-        plan_cache=None,
     ) -> None:
+        self.strict = strict
         self.stats = stats if stats is not None else ExecutionStats()
-        self.broker = StreamBroker(strict=strict, stats=self.stats)
         self._handles: Dict[str, Tuple[Tuple, StandingQuery]] = {}
-        self._plans: Dict[Tuple, Plan] = {}
-        #: Optional persistent :class:`repro.core.plancache.PlanCache`
-        #: (or directory path) behind the in-memory template dedup, so a
-        #: restarted service re-registers its fleet without re-searching.
-        self.plan_cache = plan_cache
+        self._evaluations: Dict[Tuple, _Evaluation] = {}
+        # relation name -> (attribute tuple, #evaluations reading it):
+        # one shared stream means one schema per relation name.
+        self._schemas: Dict[str, Tuple[Tuple[str, ...], int]] = {}
+        self._watermark: Optional[Number] = None
+        self._closed = False
         self._names = itertools.count(1)
-        self._ingest_started = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TemporalJoinService(queries={len(self._handles)}, "
-            f"watermark={self.broker.watermark!r})"
+            f"watermark={self._watermark!r})"
         )
 
     # ------------------------------------------------------------------
@@ -157,14 +154,6 @@ class TemporalJoinService:
             name = f"q{next(self._names)}"
         if name in self._handles:
             raise QueryError(f"standing query name {name!r} is already registered")
-        sig = plan_signature(query)
-        if sig in self._plans:
-            self.stats.incr("serve.plan_cache_hits")
-        else:
-            self.stats.incr("serve.plan_cache_misses")
-            self._plans[sig] = plan(
-                query, cache=self.plan_cache, stats=self.stats
-            )
         handle = StandingQuery(
             name,
             query,
@@ -175,41 +164,72 @@ class TemporalJoinService:
             retain_results=retain_results,
         )
         key = (hypergraph_signature(query), tau)
-        created = self.broker.attach(key, query, tau, handle)
+        evaluation = self._evaluations.get(key)
+        if evaluation is None:
+            for relation in query.edge_names:
+                attrs = tuple(query.edge(relation))
+                known = self._schemas.get(relation)
+                if known is not None and known[0] != attrs:
+                    raise QueryError(
+                        f"standing query {name!r} binds relation "
+                        f"{relation!r} to attributes {attrs}, but the shared "
+                        f"stream already carries it as {known[0]}"
+                    )
+            for relation in query.edge_names:
+                known = self._schemas.get(relation)
+                self._schemas[relation] = (
+                    tuple(query.edge(relation)), (known[1] + 1) if known else 1
+                )
+            evaluation = _Evaluation(query, tau, stats=self.stats)
+            # A template registered mid-stream starts at the current
+            # watermark: it sees only arrivals from here on.
+            if self._watermark is not None:
+                evaluation.op.advance_to(self._watermark + evaluation.half)
+            self._evaluations[key] = evaluation
+        else:
+            self.stats.incr("serve.template_dedup")
+        evaluation.handles.append(handle)
         self._handles[name] = (key, handle)
         self.stats.incr("serve.registered")
-        if not created:
-            self.stats.incr("serve.template_dedup")
         self.stats.peak("serve.queries_peak", len(self._handles))
         return handle
 
     def deregister(self, handle_or_name) -> None:
         """Remove a standing query; its template's operator dies with the
         last handle attached to it."""
-        name = (
-            handle_or_name.name
-            if isinstance(handle_or_name, StandingQuery)
-            else handle_or_name
-        )
-        entry = self._handles.pop(name, None)
-        if entry is None:
-            raise QueryError(f"standing query {name!r} is not registered")
-        key, handle = entry
-        self.broker.detach(key, handle)
+        key, handle = self._entry(handle_or_name, pop=True)
+        evaluation = self._evaluations[key]
+        evaluation.handles.remove(handle)
+        if not evaluation.handles:
+            del self._evaluations[key]
+            for relation in evaluation.query.edge_names:
+                attrs, count = self._schemas[relation]
+                if count <= 1:
+                    del self._schemas[relation]
+                else:
+                    self._schemas[relation] = (attrs, count - 1)
         handle._close()
         self.stats.incr("serve.deregistered")
 
     def plan_for(self, handle_or_name) -> Plan:
-        """The cached Figure-7 plan of a registered query's template."""
+        """The Figure-7 plan of a registered query's template.
+
+        Planned on demand: the live operator picks its own sweep state,
+        so registration never needs the plan, and the planner's search
+        memo makes repeated calls cheap.
+        """
+        return plan(self._entry(handle_or_name)[1].query)
+
+    def _entry(self, handle_or_name, pop: bool = False) -> Tuple[Tuple, StandingQuery]:
         name = (
             handle_or_name.name
             if isinstance(handle_or_name, StandingQuery)
             else handle_or_name
         )
-        entry = self._handles.get(name)
+        entry = self._handles.pop(name, None) if pop else self._handles.get(name)
         if entry is None:
             raise QueryError(f"standing query {name!r} is not registered")
-        return self._plans[plan_signature(entry[1].query)]
+        return entry
 
     @property
     def queries(self) -> List[StandingQuery]:
@@ -217,168 +237,187 @@ class TemporalJoinService:
 
     @property
     def watermark(self) -> Optional[Number]:
-        return self.broker.watermark
+        """Largest settled instant on the original (un-shrunk) timeline."""
+        return self._watermark
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     # ------------------------------------------------------------------
-    # Streaming ingest (delegates to the broker)
+    # Streaming ingest
     # ------------------------------------------------------------------
     def append(self, relation: str, values: Values, interval: IntervalLike) -> int:
-        """Ingest one tuple now; returns the emissions it finalized."""
-        self._ingest_started = True
-        with self.stats.timer("phase.serve.ingest"):
-            return self.broker.append(relation, values, interval)
+        """Ingest one tuple now; returns the number of emissions delivered.
+
+        The arrival is fanned out to every evaluation whose template
+        reads ``relation``; results finalized by it (its start proves
+        earlier expirations settled) are delivered before returning.
+        """
+        stats = self.stats
+        with stats.timer("phase.serve.ingest"):
+            if self._closed:
+                raise QueryError("append after finish() on the service")
+            known = self._schemas.get(relation)
+            if known is not None and len(values) != len(known[0]):
+                raise QueryError(
+                    f"arity mismatch: relation {relation!r} carries attributes "
+                    f"{known[0]}, got {len(values)}-tuple {values!r}"
+                )
+            check_hashable(relation, values)
+            iv = Interval.coerce(interval)
+            watermark = self._watermark
+            if watermark is not None and iv.lo < watermark:
+                if self.strict:
+                    raise QueryError(
+                        f"out-of-order arrival: start {iv.lo} precedes the "
+                        f"service watermark {watermark}"
+                    )
+                clamped = Interval(watermark, max(watermark, iv.hi))
+                stats.incr("serve.clamped")
+                stats.note(
+                    "serve.clamp_reason",
+                    f"out-of-order arrival {relation}{values} {iv} clamped to "
+                    f"{clamped} at service watermark {watermark}",
+                )
+                iv = clamped
+            self._watermark = iv.lo if watermark is None else max(watermark, iv.lo)
+            stats.incr("serve.appends")
+            if known is None:
+                # No registered template reads this relation: the append
+                # is legal (streams outlive query fleets) but does no work.
+                stats.incr("serve.unmatched_appends")
+            delivered = 0
+            active = 0
+            for evaluation in self._evaluations.values():
+                if relation in evaluation.relations:
+                    half = evaluation.half
+                    run_iv = iv.shrink(half) if half else iv
+                    if run_iv is None:
+                        # Shorter than τ: never in a τ-durable result.
+                        stats.incr("serve.shrink_dropped")
+                    else:
+                        stats.incr("serve.fanout_inserts")
+                        rows = evaluation.op.insert(relation, values, run_iv)
+                        delivered += self._dispatch(evaluation, rows, trigger=iv.lo)
+                active += evaluation.op.active_count
+            stats.peak("serve.active_peak", active)
+            return delivered
 
     def advance_to(self, watermark: Number) -> int:
-        """Advance every standing query's expiry to ``watermark``."""
-        with self.stats.timer("phase.serve.ingest"):
-            return self.broker.advance_to(watermark)
+        """Declare that no future arrival starts before ``watermark``.
+
+        Drives per-template expiry: every evaluation drains expirations
+        strictly below the (τ-translated) watermark and the finalized
+        results are delivered. Returns the number of emissions. A
+        watermark at or below the current one is a counted no-op.
+        """
+        stats = self.stats
+        with stats.timer("phase.serve.ingest"):
+            if self._closed:
+                raise QueryError("advance_to after finish() on the service")
+            check_watermark(watermark)
+            if self._watermark is not None and watermark <= self._watermark:
+                if watermark < self._watermark:
+                    stats.incr("serve.watermark_regressions")
+                return 0
+            self._watermark = watermark
+            stats.incr("serve.watermarks")
+            delivered = 0
+            for evaluation in self._evaluations.values():
+                rows = evaluation.op.advance_to(watermark + evaluation.half)
+                delivered += self._dispatch(evaluation, rows, trigger=watermark)
+            return delivered
 
     def finish(self) -> int:
-        """Flush all standing queries and close the ingest path."""
+        """Flush every standing query and close the ingest path. Idempotent."""
         with self.stats.timer("phase.serve.ingest"):
-            return self.broker.finish()
-
-    # ------------------------------------------------------------------
-    # Bulk ingest: one pass, optionally sharded across workers
-    # ------------------------------------------------------------------
-    def ingest_database(
-        self,
-        database: Database,
-        workers: int = 1,
-        mode: str = "thread",
-        finish: bool = True,
-    ) -> int:
-        """Stream a stored database through the service in one pass.
-
-        ``workers=1`` replays the endpoint-ordered arrival stream through
-        the live broker (the stream may be left open with
-        ``finish=False``). ``workers >= 2`` is the batch load path: the
-        timeline is cut into endpoint-balanced windows, every window's
-        sub-stream is joined by fresh per-template operators (``mode=
-        "thread"`` runs them on a thread pool, ``"inline"`` sequentially)
-        and each shard delivers exactly the results whose right endpoint
-        it owns; it always finishes the stream, because the sharded
-        operators — not the broker's live ones — absorbed the data.
-
-        Returns the number of emissions delivered. Counts one
-        ``serve.ingest_passes`` regardless of ``workers`` — the whole
-        point is that N standing queries share a single pass.
-        """
-        if workers < 1:
-            raise QueryError(f"workers must be >= 1, got {workers!r}")
-        if mode not in INGEST_MODES:
-            raise QueryError(
-                f"unknown ingest mode {mode!r}; expected one of {INGEST_MODES}"
-            )
-        if self.broker.closed:
-            raise QueryError("ingest_database after finish() on the service")
-        self.stats.incr("serve.ingest_passes")
-        started = time.perf_counter()
-        if workers == 1:
+            if self._closed:
+                return 0
+            self._closed = True
+            # Everything is settled once the stream ends: the watermark
+            # jumps to +inf and every handle's snapshot becomes complete.
+            self._watermark = float("inf")
             delivered = 0
-            for relation, values, interval in arrivals_from_database(database):
-                delivered += self.append(relation, values, interval)
-            if finish:
-                delivered += self.finish()
-        else:
-            if self._ingest_started:
-                raise QueryError(
-                    "sharded ingest (workers >= 2) requires a fresh stream; "
-                    "tuples were already appended to this service"
-                )
-            self._ingest_started = True
-            with self.stats.timer("phase.serve.ingest"):
-                delivered = self._ingest_sharded(database, workers, mode)
-        self.stats.add_time("phase.serve.pass", time.perf_counter() - started)
-        return delivered
-
-    def _ingest_sharded(self, database: Database, workers: int, mode: str) -> int:
-        """One ingest pass sharded by right-endpoint ownership (PR-2 rule).
-
-        Tuple assignment replicates each arrival to every shard whose
-        window its interval overlaps; a result — finalized at the right
-        endpoint of its intersection interval — is delivered by the
-        unique shard owning that instant, so concatenating shard
-        deliveries in shard order is exactly-once by construction.
-        """
-        from ..parallel.partition import partition_timeline
-
-        partition = partition_timeline(database, workers)
-        shards = partition.n_shards
-        arrivals = arrivals_from_database(database)
-        evaluations = self.broker.evaluations
-        sub_streams: List[List[Tuple[str, Values, Interval]]] = [
-            [] for _ in range(shards)
-        ]
-        for item in arrivals:
-            first, last = partition.shard_range(item[2])
-            for shard in range(first, last + 1):
-                sub_streams[shard].append(item)
-        replicated = sum(len(s) for s in sub_streams) - len(arrivals)
-        self.stats.incr("serve.shards", shards)
-        self.stats.incr("serve.shard_workers", min(workers, shards))
-        self.stats.incr("serve.replicated", replicated)
-
-        templates = [(e.query, e.half) for e in evaluations]
-        if mode == "thread" and shards > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(workers, shards)) as pool:
-                futures = [
-                    pool.submit(
-                        _join_shard, shard, templates,
-                        sub_streams[shard], partition,
-                    )
-                    for shard in range(shards)
-                ]
-                per_shard = [future.result() for future in futures]
-        else:
-            per_shard = [
-                _join_shard(shard, templates, sub_streams[shard], partition)
-                for shard in range(shards)
-            ]
-
-        # Deliver in shard order from the calling thread: deterministic,
-        # and buffer backpressure applies on delivery exactly as in the
-        # streaming path.
-        delivered = 0
-        for shard_out in per_shard:
-            for evaluation, emissions in zip(evaluations, shard_out):
+            for evaluation in self._evaluations.values():
+                rows = evaluation.op.finish()
+                delivered += self._dispatch(evaluation, rows, trigger=None)
+            for evaluation in self._evaluations.values():
                 for handle in evaluation.handles:
-                    projection = evaluation.projection(handle.query)
-                    if projection is None:
-                        handle._deliver(emissions, None)
-                    else:
-                        handle._deliver(
-                            [
-                                Emission(
-                                    tuple(e.values[p] for p in projection),
-                                    e.interval,
-                                    e.at,
-                                )
-                                for e in emissions
-                            ],
-                            None,
-                        )
-                    delivered += len(emissions)
-                self.stats.incr("serve.results_emitted", len(emissions))
-        # The sharded operators absorbed the stream; the live broker never
-        # saw it, so the only consistent continuation is closure.
-        self.broker.finish()
-        return delivered
+                    handle._close()
+            return delivered
 
     def ingest_stream(
         self,
         arrivals: Iterable[Tuple[str, Values, IntervalLike]],
         finish: bool = False,
     ) -> int:
-        """Append a pre-ordered arrival stream through the live broker."""
+        """Append a pre-ordered arrival stream; returns emissions delivered."""
         delivered = 0
         for relation, values, interval in arrivals:
             delivered += self.append(relation, values, interval)
         if finish:
             delivered += self.finish()
         return delivered
+
+    def ingest_database(self, database: Database, finish: bool = True) -> int:
+        """Stream a stored database through :meth:`append` in one pass.
+
+        The database is replayed in endpoint order (the stream may be
+        left open with ``finish=False``). Returns the number of emissions
+        delivered and counts one ``serve.ingest_passes`` — the whole
+        point is that N standing queries share a single pass.
+        """
+        if self._closed:
+            raise QueryError("ingest_database after finish() on the service")
+        self.stats.incr("serve.ingest_passes")
+        started = time.perf_counter()
+        delivered = self.ingest_stream(arrivals_from_database(database), finish=finish)
+        self.stats.add_time("phase.serve.pass", time.perf_counter() - started)
+        return delivered
+
+    # ------------------------------------------------------------------
+    def _dispatch(
+        self,
+        evaluation: _Evaluation,
+        rows: List[ResultRow],
+        trigger: Optional[Number],
+    ) -> int:
+        """Expand, project and deliver freshly finalized rows."""
+        watermark = self._watermark
+        if not rows:
+            for handle in evaluation.handles:
+                handle._deliver([], watermark)
+            return 0
+        half = evaluation.half
+        stats = self.stats
+        with stats.timer("phase.serve.deliver"):
+            emissions: List[Emission] = []
+            for values, iv in rows:
+                out_iv = iv.expand(half) if half else iv
+                # End-of-stream flushes carry no event time; their
+                # emissions are stamped at their own right endpoint
+                # (zero lag by construction).
+                at = trigger if trigger is not None else out_iv.hi
+                emissions.append(Emission(values, out_iv, at))
+            for handle in evaluation.handles:
+                projection = evaluation.projection(handle.query)
+                if projection is None:
+                    handle._deliver(emissions, watermark)
+                else:
+                    handle._deliver(
+                        [
+                            Emission(
+                                tuple(e.values[p] for p in projection),
+                                e.interval,
+                                e.at,
+                            )
+                            for e in emissions
+                        ],
+                        watermark,
+                    )
+        stats.incr("serve.results_emitted", len(rows))
+        return len(emissions) * len(evaluation.handles)
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -119,11 +119,11 @@ class TestCounterGlossaryDrift:
     def test_real_serve_counter_rename_fires(self):
         """Tamper: rename a serve.* counter — drift must flag it."""
         design = _read("DESIGN.md")
-        source = _read("src/repro/serve/broker.py")
+        source = _read("src/repro/serve/service.py")
         mutated = source.replace('"serve.appends"', '"serve.appendz"')
         assert mutated != source
         findings = lint_project(
-            {"src/repro/serve/broker.py": mutated},
+            {"src/repro/serve/service.py": mutated},
             [CounterGlossaryDrift()],
             design_text=design,
         )
@@ -248,7 +248,6 @@ class TestSpawnShipsModuleLevel:
 class TestOwnershipBeforeConcat:
     WORKER = "src/repro/parallel/worker.py"
     MERGE = "src/repro/parallel/merge.py"
-    SERVICE = "src/repro/serve/service.py"
 
     def _lint(self, sources):
         return lint_project(sources, [OwnershipBeforeConcat()])
@@ -257,7 +256,6 @@ class TestOwnershipBeforeConcat:
         findings = self._lint({
             self.WORKER: _read(self.WORKER),
             self.MERGE: _read(self.MERGE),
-            self.SERVICE: _read(self.SERVICE),
         })
         assert findings == []
 
@@ -283,30 +281,26 @@ class TestOwnershipBeforeConcat:
         findings = self._lint({self.MERGE: mutated})
         assert _by_rule(findings, "ownership-before-concat")
 
-    def test_service_guard_removed_tamper_fires(self):
-        """Drop the per-emission ownership guard in _join_shard."""
-        source = _read(self.SERVICE)
-        needle = "if partition.owner(out_iv.hi) != shard:"
-        assert needle in source
-        mutated = source.replace(needle, "if False:")
-        findings = self._lint({self.SERVICE: mutated})
-        assert _by_rule(findings, "ownership-before-concat")
+    GUARDED_LOOP = (
+        "def run_shard(shard, rows, partition):\n"
+        "    owned = []\n"
+        "    for row in rows:\n"
+        "        if partition.owner(row.hi) != shard:\n"
+        "            continue\n"
+        "        owned.append(row)\n"
+        "    return ShardOutcome(shard=shard, rows=owned)\n"
+    )
+
+    def test_synthetic_unguarded_outcome_fires(self):
+        """The loop-guard shape with its guard dropped must fire."""
+        needle = "        if partition.owner(row.hi) != shard:\n            continue\n"
+        assert needle in self.GUARDED_LOOP
+        source = self.GUARDED_LOOP.replace(needle, "")
+        assert _by_rule(self._lint({self.WORKER: source}), "ownership-before-concat")
 
     def test_synthetic_guarded_append_passes(self):
-        findings = self._lint({
-            self.WORKER: (
-                "def _join_shard(shard, rows, partition):\n"
-                "    out = []\n"
-                "    owned = []\n"
-                "    for row in rows:\n"
-                "        if partition.owner(row.hi) != shard:\n"
-                "            continue\n"
-                "        owned.append(row)\n"
-                "    out.append(owned)\n"
-                "    return out\n"
-            ),
-        })
-        assert findings == []
+        """An append reached only past an ownership guard is filtered."""
+        assert self._lint({self.WORKER: self.GUARDED_LOOP}) == []
 
     def test_inline_suppression_applies_to_flow_findings(self):
         """A span directive on the statement's first line silences the

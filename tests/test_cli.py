@@ -147,12 +147,14 @@ class TestServeSubcommand:
         assert "serve.ingest_passes" in out
         assert "serve.template_dedup" in out
 
-    def test_sharded_ingest_run(self, capsys):
-        rc = main(["serve", "synthetic", "--n", "60", "--workers", "3",
-                   "--verify"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "MISMATCH" not in out
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "3"], ["--plan-cache", "d"]],
+        ids=["workers", "plan-cache"],
+    )
+    def test_removed_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit):
+            main(["serve", "synthetic", "--n", "60", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_workload_tau_defaults_to_paper_value(self, capsys):
         rc = main(["serve", "ldbc", "--n", "60"])

@@ -1,16 +1,19 @@
-"""Unit tests for the serving layer (broker, handles, service façade)."""
+"""Unit tests for the serving layer (ingest path, handles, registry)."""
 
 import threading
 
 import pytest
 
 from repro.algorithms.registry import temporal_join
-from repro.core.errors import QueryError
+from repro.algorithms.online import OnlineTemporalJoin
+from repro.core.errors import QueryError, SchemaError
+from repro.core.interval import Interval
+from repro.core.planner import plan
 from repro.core.query import JoinQuery
+from repro.core.relation import TemporalRelation
 from repro.serve import (
     Backpressure,
     StandingQuery,
-    StreamBroker,
     TemporalJoinService,
 )
 
@@ -239,14 +242,13 @@ class TestTemplateDedup:
         svc = TemporalJoinService()
         a = svc.register(star2(), name="a")
         b = svc.register(star2(), name="b")
-        assert len(svc.broker.evaluations) == 1
+        assert len(svc._evaluations) == 1
         svc.append("R1", (1, "h"), (0, 10))
         svc.append("R2", (2, "h"), (2, 5))
         svc.finish()
         assert [e.values for e in a.drain()] == [e.values for e in b.drain()]
         stats = svc.telemetry()
         assert stats.get("serve.template_dedup") == 1
-        assert stats.get("serve.plan_cache_hits") == 1
         # One operator: the sweep ran once for both handles.
         assert stats.get("sweep.inserts") == 2
 
@@ -259,7 +261,7 @@ class TestTemplateDedup:
         svc = TemporalJoinService()
         a = svc.register(query, name="canon")
         b = svc.register(variant, name="reversed")
-        assert len(svc.broker.evaluations) == 1
+        assert len(svc._evaluations) == 1
         svc.append("R1", (1, "h"), (0, 10))
         svc.append("R2", (2, "h"), (2, 5))
         svc.finish()
@@ -270,9 +272,8 @@ class TestTemplateDedup:
         svc = TemporalJoinService()
         svc.register(star2(), name="t0", tau=0)
         svc.register(star2(), name="t5", tau=5)
-        assert len(svc.broker.evaluations) == 2
-        # but the Figure-7 plan is cached per shape, across τ
-        assert svc.telemetry().get("serve.plan_cache_hits") == 1
+        assert len(svc._evaluations) == 2
+        assert svc.telemetry().get("serve.template_dedup") == 0
 
     def test_tau_shrink_drops_short_tuples(self):
         svc = TemporalJoinService()
@@ -301,9 +302,9 @@ class TestRegistration:
         a = svc.register(star2(), name="a")
         svc.register(star2(), name="b")
         svc.deregister(a)
-        assert len(svc.broker.evaluations) == 1
+        assert len(svc._evaluations) == 1
         svc.deregister("b")
-        assert len(svc.broker.evaluations) == 0
+        assert len(svc._evaluations) == 0
         assert a.closed
         with pytest.raises(QueryError, match="not registered"):
             svc.deregister("b")
@@ -317,7 +318,7 @@ class TestRegistration:
         svc.append("R2", (2, "h"), (2, 5))
         svc.advance_to(6)  # finalizes (1,h,2) — delivered to early only
         late = svc.register(star2(), name="late")
-        assert len(svc.broker.evaluations) == 1  # joined the live operator
+        assert len(svc._evaluations) == 1  # joined the live operator
         svc.append("R2", (3, "h"), (7, 9))
         svc.finish()
         assert {e.values for e in early.drain()} == {(1, "h", 2), (1, "h", 3)}
@@ -333,7 +334,7 @@ class TestRegistration:
         # a fresh operator advanced to the current watermark: it never
         # sees pre-registration arrivals.
         late = svc.register(star2(), name="late", tau=2)
-        assert len(svc.broker.evaluations) == 2
+        assert len(svc._evaluations) == 2
         svc.append("R2", (2, "h"), (2, 9))
         svc.finish()
         assert {e.values for e in late.drain()} == set()
@@ -341,7 +342,7 @@ class TestRegistration:
     def test_plan_for_returns_cached_plan(self):
         svc = TemporalJoinService()
         handle = svc.register(star2(), name="q")
-        assert svc.plan_for(handle) is svc.plan_for("q")
+        assert svc.plan_for(handle) == svc.plan_for("q") == plan(handle.query)
         with pytest.raises(QueryError, match="not registered"):
             svc.plan_for("nope")
 
@@ -352,23 +353,24 @@ class TestRegistration:
 
 
 class TestBulkIngest:
-    def test_workers_validated(self):
-        svc = TemporalJoinService()
-        svc.register(star2(), name="q")
-        with pytest.raises(QueryError, match="workers"):
-            svc.ingest_database({}, workers=0)
-        with pytest.raises(QueryError, match="mode"):
-            svc.ingest_database({}, workers=2, mode="rocket")
-
-    def test_sharded_ingest_requires_fresh_stream(self):
+    def test_bulk_ingest_continues_a_live_stream(self):
         rng = random.Random(3)
         query = star2()
-        db = random_database(query, rng, n=8, domain=3)
+        db = random_database(query, rng, n=8, domain=3, time_span=20)
         svc = TemporalJoinService()
-        svc.register(query, name="q")
-        svc.append("R1", (0, 0), (0, 1))
-        with pytest.raises(QueryError, match="fresh stream"):
-            svc.ingest_database(db, workers=2)
+        handle = svc.register(query, name="q")
+        # A bulk pass after live appends is one more stretch of the same
+        # stream: the early tuple joins the stored ones.
+        early = ((99, 0), Interval(-5, 100))
+        svc.append("R1", *early)
+        svc.ingest_database(db)
+        r1 = db["R1"]
+        want = temporal_join(
+            query,
+            {"R1": TemporalRelation("R1", r1.attrs, r1.rows + [early]), "R2": db["R2"]},
+        )
+        assert any(values[0] == 99 for values, _ in want)
+        assert handle.snapshot().results.normalized() == want.normalized()
 
     def test_unfinished_live_ingest_can_continue(self):
         rng = random.Random(5)
@@ -376,34 +378,95 @@ class TestBulkIngest:
         db = random_database(query, rng, n=8, domain=3, time_span=20)
         svc = TemporalJoinService()
         handle = svc.register(query, name="q")
-        svc.ingest_database(db, workers=1, finish=False)
-        assert not svc.broker.closed
+        svc.ingest_database(db, finish=False)
+        assert not svc.closed
         svc.advance_to(10_000)
         svc.finish()
         want = temporal_join(query, db)
         assert handle.snapshot().results.normalized() == want.normalized()
 
-    @pytest.mark.parametrize("mode", ["inline", "thread"])
-    def test_sharded_matches_offline(self, mode):
+    @pytest.mark.parametrize("n_handles", [1, 2], ids=["one-handle", "shared-template"])
+    def test_bulk_ingest_matches_offline(self, n_handles):
         rng = random.Random(11)
         query = star2()
         db = random_database(query, rng, n=20, domain=3, time_span=30)
         svc = TemporalJoinService()
-        handle = svc.register(query, name="q")
-        svc.ingest_database(db, workers=3, mode=mode)
-        assert svc.broker.closed
+        handles = [svc.register(query, name=f"q{i}") for i in range(n_handles)]
+        delivered = svc.ingest_database(db)
+        assert svc.closed
         want = temporal_join(query, db)
-        assert handle.snapshot().results.normalized() == want.normalized()
+        for handle in handles:
+            assert handle.snapshot().results.normalized() == want.normalized()
+        assert delivered == len(want) * n_handles
         stats = svc.telemetry()
+        n_tuples = sum(len(r) for r in db.values())
         assert stats.get("serve.ingest_passes") == 1
-        assert stats.get("serve.shards") == 3
+        assert stats.get("serve.appends") == n_tuples
+        # Handles on one template share one operator: each tuple is
+        # inserted once, whatever the number of handles.
+        assert stats.get("serve.fanout_inserts") == n_tuples
 
     def test_ingest_after_finish_rejected(self):
         svc = TemporalJoinService()
         svc.register(star2(), name="q")
         svc.finish()
         with pytest.raises(QueryError, match="finish"):
-            svc.ingest_database({}, workers=1)
+            svc.ingest_database({})
+
+
+class TestMalformedInput:
+    """Bad input is rejected before it changes any state."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), "5", None])
+    def test_bad_watermark_rejected_and_stream_continues(self, bad):
+        svc = TemporalJoinService()
+        pairs = svc.register(star2(), name="pairs")
+        svc.append("R1", (1, "h"), (0, 10))
+        with pytest.raises(QueryError, match="watermark"):
+            svc.advance_to(bad)
+        assert svc.watermark == 0
+        assert svc.telemetry().get("serve.watermarks") == 0
+        # The live tuple did not expire: a later in-order arrival joins it.
+        svc.append("R2", (2, "h"), (2, 5))
+        svc.advance_to(6)
+        assert [e.row for e in pairs.drain()] == [((1, "h", 2), Interval(2, 5))]
+
+    @pytest.mark.parametrize("bad", [float("nan"), "5", None])
+    def test_operator_bad_watermark_rejected(self, bad):
+        op = OnlineTemporalJoin(star2())
+        op.insert("R1", (1, "h"), (0, 10))
+        with pytest.raises(QueryError, match="watermark"):
+            op.advance_to(bad)
+        assert op.watermark is None
+        assert op.active_count == 1
+        assert op.insert("R2", (2, "h"), (2, 5)) == []
+        assert op.finish() == [((1, "h", 2), Interval(2, 5))]
+
+    def test_unhashable_append_rejected_before_effects(self):
+        svc = TemporalJoinService()
+        a = svc.register(star2(), name="a")
+        b = svc.register(JoinQuery({"R1": ("x1", "y"), "S": ("y", "z")}), name="b")
+        svc.append("R1", (1, "h"), (0, 10))
+        before = dict(svc.telemetry().counters)
+        with pytest.raises(SchemaError, match=r"'R1'.*unhashable"):
+            svc.append("R1", (5, ["h"]), (3, 4))
+        assert svc.watermark == 0
+        assert dict(svc.telemetry().counters) == before
+        assert [e.op.active_count for e in svc._evaluations.values()] == [1, 1]
+        svc.append("R2", (2, "h"), (2, 5))
+        svc.append("S", ("h", 7), (4, 6))
+        svc.finish()
+        assert [e.row for e in a.drain()] == [((1, "h", 2), Interval(2, 5))]
+        assert [e.row for e in b.drain()] == [((1, "h", 7), Interval(4, 6))]
+
+    def test_operator_unhashable_insert_rejected(self):
+        op = OnlineTemporalJoin(star2())
+        op.insert("R1", (1, "h"), (0, 10))
+        with pytest.raises(SchemaError, match=r"'R2'.*unhashable"):
+            op.insert("R2", ({"k": 1}, "h"), (20, 30))
+        assert op.watermark is None and op.active_count == 1
+        assert op.insert("R2", (2, "h"), (2, 5)) == []
+        assert op.finish() == [((1, "h", 2), Interval(2, 5))]
 
 
 class TestTelemetryAndReports:
@@ -416,23 +479,13 @@ class TestTelemetryAndReports:
         report = svc.slo_report()
         assert "alpha" in report and "beta" in report
 
-    def test_broker_usable_standalone(self):
-        broker = StreamBroker()
-        handle = StandingQuery("q", star2(), 0)
-        broker.attach(("k", 0), star2(), 0, handle)
-        broker.append("R1", (1, "h"), (0, 10))
-        broker.append("R2", (2, "h"), (2, 5))
-        broker.finish()
-        assert len(handle.drain()) == 1
-        assert broker.finish() == 0  # idempotent
-
     def test_ingest_rate_counters(self):
         rng = random.Random(7)
         query = star2()
         db = random_database(query, rng, n=10, domain=3)
         svc = TemporalJoinService()
         svc.register(query, name="q")
-        svc.ingest_database(db, workers=1)
+        svc.ingest_database(db)
         stats = svc.telemetry()
         n = sum(len(rel) for rel in db.values())
         assert stats.get("serve.appends") == n

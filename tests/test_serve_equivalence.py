@@ -2,10 +2,11 @@
 
 The contract under test: for every standing query in a fleet streamed
 through :class:`~repro.serve.TemporalJoinService` — hierarchical and
-cyclic (GHD-path) templates, τ ∈ {0, 3}, one shared ingest pass with 1
-or 3 workers, under every backpressure policy — the snapshot at end of
-stream equals ``temporal_join`` over the stored database, and every
-emission the live broker delivers leaves at its earliest legal instant:
+cyclic (GHD-path) templates, τ ∈ {0, 3}, one shared ingest path fed in
+one bulk pass or in 3 stretches cut by declared watermarks, under every
+backpressure policy — the snapshot at end of stream equals
+``temporal_join`` over the stored database, and every emission the
+service delivers leaves at its earliest legal instant:
 the first arrival the operator sees that proves the result settled
 (watermark latency), or the end-of-stream flush with zero lag.
 """
@@ -16,6 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.algorithms.online import arrivals_from_database
 from repro.algorithms.registry import temporal_join
 from repro.core.query import JoinQuery
 from repro.serve import Backpressure, TemporalJoinService
@@ -59,7 +61,28 @@ def fleet_database(queries, rng, n, domain=3, time_span=30, max_duration=10):
     return db
 
 
-def assert_serves_offline(db, fleet, tau, workers, policy):
+def ingest_in_segments(service, db, segments):
+    """Stream ``db`` through ``service`` in ``segments`` stretches.
+
+    One segment is the bulk :meth:`ingest_database` pass. More split the
+    same endpoint-ordered arrivals into consecutive :meth:`ingest_stream`
+    calls, each closed by a declared watermark at the next stretch's
+    first start: however the stream is cut, the result must not change.
+    """
+    if segments == 1:
+        service.ingest_database(db)
+        assert service.telemetry().get("serve.ingest_passes") == 1
+        return
+    arrivals = arrivals_from_database(db)
+    size = -(-len(arrivals) // segments)
+    for cut in range(0, len(arrivals), size):
+        service.ingest_stream(arrivals[cut : cut + size])
+        if cut + size < len(arrivals):
+            service.advance_to(arrivals[cut + size][2].lo)
+    service.finish()
+
+
+def assert_serves_offline(db, fleet, tau, segments, policy):
     """Stream ``db`` once; every handle must equal its offline join.
 
     Returns the handles for further (latency) assertions.
@@ -73,7 +96,7 @@ def assert_serves_offline(db, fleet, tau, workers, policy):
         )
         for i, query in enumerate(fleet)
     ]
-    service.ingest_database(db, workers=workers, mode="inline")
+    ingest_in_segments(service, db, segments)
 
     for handle, query in zip(handles, fleet):
         sub = {name: db[name] for name in query.edge_names}
@@ -82,10 +105,9 @@ def assert_serves_offline(db, fleet, tau, workers, policy):
         assert snapshot.at == float("inf")  # end of stream: fully settled
         assert snapshot.results.normalized() == want.normalized(), (
             f"{handle.name} diverges from offline temporal_join at "
-            f"tau={tau}, workers={workers}, policy={policy}"
+            f"tau={tau}, segments={segments}, policy={policy}"
         )
     stats = service.telemetry()
-    assert stats.get("serve.ingest_passes") == 1
     assert stats.get("serve.template_dedup") >= 1  # the duplicate template
     return handles
 
@@ -127,25 +149,25 @@ class TestServiceEqualsOffline:
         seed=st.integers(min_value=0, max_value=2**16),
         n=st.integers(min_value=4, max_value=12),
         tau=st.sampled_from([0, 3]),
-        workers=st.sampled_from([1, 3]),
+        segments=st.sampled_from([1, 3]),
         policy=st.sampled_from(Backpressure.ALL),
     )
     @settings(max_examples=20, deadline=None)
-    def test_random_fleets(self, seed, n, tau, workers, policy):
+    def test_random_fleets(self, seed, n, tau, segments, policy):
         rng = random.Random(seed)
         fleet = [star3(), line3(), triangle(), star3_reversed()]
         db = fleet_database(fleet, rng, n)
-        assert_serves_offline(db, fleet, tau, workers, policy)
+        assert_serves_offline(db, fleet, tau, segments, policy)
 
     @pytest.mark.parametrize("tau", [0, 3])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("segments", [1, 3])
     @pytest.mark.parametrize("policy", sorted(Backpressure.ALL))
-    def test_full_grid_covered(self, tau, workers, policy):
-        """Every (τ, workers, policy) cell runs at least once per suite."""
+    def test_full_grid_covered(self, tau, segments, policy):
+        """Every (τ, segments, policy) cell runs at least once per suite."""
         rng = random.Random(20220612)
         fleet = [star3(), line3(), triangle(), star3_reversed()]
         db = fleet_database(fleet, rng, n=10)
-        assert_serves_offline(db, fleet, tau, workers, policy)
+        assert_serves_offline(db, fleet, tau, segments, policy)
 
 
 class TestEmissionLatency:
@@ -164,7 +186,7 @@ class TestEmissionLatency:
         handle = service.register(
             query, tau=tau, name="q", buffer_size=1_000_000
         )
-        service.ingest_database(db, workers=1)
+        service.ingest_database(db)
         if not handle.pending:
             return  # empty join: nothing to assert about latency
         assert_minimal_latency(handle, query, tau, db)

@@ -4,9 +4,10 @@ Each case registers a three-query fleet over two distinct templates —
 the workload's primary query, a sub-template over a prefix of its
 relations, and a duplicate of the primary (real registries repeat
 popular templates) — then bulk-ingests the stored database through the
-live broker. Every snapshot must equal the offline ``temporal_join`` of
-its query, the whole fleet must share exactly one ingest pass, and the
-duplicate template must dedup into a shared evaluation.
+live ingest path. Every snapshot must equal the offline
+``temporal_join`` of its query, the whole fleet must share exactly one
+ingest pass, and the duplicate template must dedup into a shared
+evaluation.
 """
 
 import pytest
@@ -62,7 +63,7 @@ def test_fleet_matches_offline_and_shares_one_pass(case):
     pushed = [[] for _ in fleet]
     for handle, emissions in zip(handles, pushed):
         handle.subscribe(emissions.append)
-    service.ingest_database(database, workers=1)
+    service.ingest_database(database)
 
     snapshots = [handle.snapshot() for handle in handles]
     for (name, query, tau), snapshot in zip(fleet, snapshots):
