@@ -56,8 +56,9 @@ bench-gates-check:
 figures: bench
 	@cat benchmarks/results/*.txt
 
+# Runs every example; stops at the first one that fails.
 examples:
-	@for f in examples/*.py; do echo "=== $$f"; python $$f; done
+	@for f in examples/*.py; do echo "=== $$f"; PYTHONPATH=src python $$f || exit 1; done
 
 clean:
 	rm -rf benchmarks/results .pytest_cache src/repro.egg-info

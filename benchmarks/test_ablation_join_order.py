@@ -13,6 +13,7 @@ import pytest
 
 from repro.algorithms.baseline import baseline_join, choose_join_order
 from repro.bench.reporting import render_series
+from repro.obs import ExecutionStats
 from repro.workloads import tpc_bih
 
 from conftest import record_report
@@ -39,10 +40,13 @@ def test_join_order_search_pays_off(benchmark):
                 covered |= set(hg.edge(name))
             if not ok:
                 continue
-            sizes = []
+            stats = ExecutionStats()
             start = time.perf_counter()
-            baseline_join(query, db, order=list(perm), track_intermediates=sizes)
-            orders[" ⋈ ".join(perm)] = (time.perf_counter() - start, sum(sizes))
+            baseline_join(query, db, order=list(perm), stats=stats)
+            orders[" ⋈ ".join(perm)] = (
+                time.perf_counter() - start,
+                stats.get("bin.intermediate_rows.total"),
+            )
         chosen = choose_join_order(query, db)
         results["orders"] = orders
         results["chosen"] = " ⋈ ".join(chosen)

@@ -142,15 +142,12 @@ def baseline_join(
     database: Mapping[str, TemporalRelation],
     tau: Number = 0,
     order: Optional[Sequence[str]] = None,
-    track_intermediates: Optional[List[int]] = None,
     binary_strategy: str = DEFAULT_STRATEGY,
     stats: Optional[ExecutionStats] = None,
 ) -> JoinResultSet:
     """Pairwise BASELINE evaluation of a τ-durable temporal join.
 
-    ``track_intermediates``, when given a list, receives the materialized
-    size after each binary join — the quantity the paper's memory figures
-    are about. ``binary_strategy`` picks the per-key interval-join family
+    ``binary_strategy`` picks the per-key interval-join family
     used by every binary join (the paper's BASELINE used the forward
     scan, "experimentally verified as the most efficient"; the default
     is now the lazy sweep, which beats it on the ratio-gated
@@ -159,7 +156,8 @@ def baseline_join(
 
     ``stats`` opts into telemetry: ``bin.joins`` and the
     ``bin.intermediate_rows`` distribution — each binary join's
-    materialized cardinality, the Figure 8 blow-up as a number — plus
+    materialized cardinality, the quantity the paper's memory figures
+    are about (Figure 8's blow-up as a number) — plus
     ``phase.order_search`` / ``phase.joins`` timers and ``results``.
     """
     query.validate(database)
@@ -184,8 +182,6 @@ def baseline_join(
         if stats is not None:
             stats.incr("bin.joins")
             stats.observe("bin.intermediate_rows", len(current))
-        if track_intermediates is not None:
-            track_intermediates.append(len(current))
         if len(current) == 0:
             break
     out = JoinResultSet(query.attrs)

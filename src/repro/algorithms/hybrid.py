@@ -94,7 +94,6 @@ def hybrid_join(
     tau: Number = 0,
     ghd: Optional[GHD] = None,
     mode: str = "auto",
-    track_intermediates: Optional[List[int]] = None,
     stats: Optional[ExecutionStats] = None,
 ) -> JoinResultSet:
     """Evaluate a τ-durable temporal join with HYBRID (Theorem 12).
@@ -107,9 +106,6 @@ def hybrid_join(
         ``"auto"`` picks the decomposition minimizing the Theorem 12
         exponent ``min(fhtw + 1, hhtw)``; ``"fhtw"`` forces the fhtw GHD;
         ``"hierarchical"`` forces the hhtw (hierarchical) GHD.
-    track_intermediates:
-        Receives the materialized size of every bag, for the memory
-        benches.
     stats:
         Opt-in telemetry (see :mod:`repro.obs`): ``hybrid.bags``,
         ``hybrid.bag_rows`` (per-bag materialized sizes), the
@@ -128,18 +124,13 @@ def hybrid_join(
     bag_db: Dict[str, TemporalRelation] = {}
     if stats is None:
         for bag, lam in ghd.bags.items():
-            rel = materialize_bag(hg, db, lam, bag_name=bag)
-            if track_intermediates is not None:
-                track_intermediates.append(len(rel))
-            bag_db[bag] = rel
+            bag_db[bag] = materialize_bag(hg, db, lam, bag_name=bag)
     else:
         with stats.timer("phase.materialize"):
             for bag, lam in ghd.bags.items():
                 rel = materialize_bag(hg, db, lam, bag_name=bag)
                 stats.incr("hybrid.bags")
                 stats.observe("hybrid.bag_rows", len(rel))
-                if track_intermediates is not None:
-                    track_intermediates.append(len(rel))
                 bag_db[bag] = rel
     bag_edges = {bag: bag_db[bag].attrs for bag in ghd.bags}
     bag_query = JoinQuery(bag_edges, attr_order=query.attrs)

@@ -8,11 +8,16 @@ never by catching mid-execution errors), dispatch falls back to the
 universally applicable HYBRID with algorithm-specific keyword arguments
 stripped.
 
-:func:`explain_analyze` is the observability entry point: it evaluates
-the query with an :class:`~repro.obs.ExecutionStats` attached and
-returns the planner's static ``explain()`` alongside the measured
-counters — the paper's theory (Figure 4 exponents) next to what actually
-happened.
+One private runner, :func:`_run`, is the only call path into the
+algorithms: validate (:func:`_check_call`), route a non-``overlaps``
+predicate, resolve (:func:`_resolve`), then run serially or across time
+shards. :func:`temporal_join` returns its result;
+:func:`explain_analyze` — the observability entry point — plans once
+for the explanation and times one runner call with that plan, returning
+the planner's static ``explain()`` alongside the measured counters (the
+paper's theory, Figure 4 exponents, next to what actually happened);
+:func:`repro.kernels.prepared.run_batch` shares the preamble and runs
+its fallback evaluations through the runner.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import QueryError
 from ..core.interval import Number
@@ -172,7 +177,7 @@ def _check_tau(tau: Number) -> None:
 
 #: Execution modes of the sharded engine (``parallel_mode=``); defined
 #: here so serial calls can validate it without importing
-#: :mod:`repro.parallel` (re-exported there as ``MODES``).
+#: :mod:`repro.parallel`.
 PARALLEL_MODES = ("process", "inline")
 
 
@@ -197,18 +202,82 @@ def _check_parallel(workers: Optional[int], parallel_mode: str) -> None:
         )
 
 
+def _check_prepared(prepared) -> None:
+    """Reject a ``prepared=`` value that is not a :func:`prepare` artifact."""
+    from ..kernels.prepared import PreparedDatabase
+
+    if not isinstance(prepared, PreparedDatabase):
+        raise QueryError(
+            "prepared must be a PreparedDatabase from repro.prepare(), got "
+            f"{type(prepared).__name__}: {prepared!r:.80}"
+        )
+
+
 def _check_call(
+    queries: Sequence[JoinQuery],
     database: Mapping[str, TemporalRelation],
     tau: Number,
     workers: Optional[int],
     parallel_mode: str,
     prepared,
+    algorithm: str = "auto",
+    predicate: str = "overlaps",
 ) -> None:
-    """The validation preamble of ``temporal_join`` and ``explain_analyze``."""
+    """The validation preamble of every entry point.
+
+    ``temporal_join`` and ``explain_analyze`` pass their one query,
+    ``run_batch`` its fleet. A wrong argument type, a bad ``tau``,
+    ``workers``, ``parallel_mode`` or ``predicate``, a predicate call
+    the binary lazy sweep cannot serve, and an artifact that is not one
+    or does not match ``database`` all raise :class:`QueryError` here,
+    before anything plans or runs.
+    """
     _ensure_loaded()
+    if not isinstance(queries, Sequence):
+        raise QueryError(
+            "queries must be a sequence of JoinQuery, got "
+            f"{type(queries).__name__}: {queries!r:.80}"
+        )
+    for query in queries:
+        if not isinstance(query, JoinQuery):
+            raise QueryError(
+                f"query must be a JoinQuery, got {type(query).__name__}: "
+                f"{query!r:.80}"
+            )
+    if not isinstance(database, Mapping):
+        raise QueryError(
+            "database must map relation names to TemporalRelation, got "
+            f"{type(database).__name__}"
+        )
     _check_tau(tau)
     _check_parallel(workers, parallel_mode)
+    from .allen import parse_predicate
+
+    if parse_predicate(predicate) != ("overlaps",):
+        # Allen predicates are defined on a *pair* of intervals; the
+        # multiway machinery (attribute trees, GHDs, shard-ownership
+        # merge) is all built on intersection semantics.
+        for query in queries:
+            names = query.edge_names
+            if len(names) != 2:
+                raise QueryError(
+                    f"predicate {predicate!r} requires a binary query "
+                    f"(exactly two edges); got {len(names)} edges "
+                    f"{list(names)}. Only the default 'overlaps' predicate "
+                    "supports multiway queries."
+                )
+        if workers is not None and workers > 1:
+            raise QueryError(
+                f"predicate {predicate!r} does not support workers={workers}: "
+                "the sharded merge's ownership rule assumes overlap semantics"
+            )
+        if algorithm not in ("auto", "baseline"):
+            raise QueryError(
+                f"predicate {predicate!r} runs the lazy-sweep binary engine; "
+                f"algorithm must be 'auto' or 'baseline', got {algorithm!r}"
+            )
     if prepared is not None:
+        _check_prepared(prepared)
         prepared.validate_against(database)
 
 
@@ -287,6 +356,15 @@ def strip_unsupported_kwargs(fn: Algorithm, kwargs: Dict) -> Dict:
     return {k: v for k, v in kwargs.items() if k in accepted}
 
 
+def _plan(query: JoinQuery, stats=None, prepared=None):
+    """The Figure-7 plan for ``query``, from ``prepared``'s cache if given."""
+    if prepared is not None:
+        return prepared.cached_plan(query, stats=stats)
+    from ..core.planner import plan
+
+    return plan(query, stats=stats)
+
+
 def _resolve(
     query: JoinQuery,
     algorithm: str,
@@ -297,41 +375,23 @@ def _resolve(
 ) -> Tuple[str, Algorithm, Dict]:
     """Resolve ``algorithm`` to ``(name, fn, kwargs)``, kwargs checked.
 
-    ``"auto"`` goes through :func:`_resolve_auto`, with the plan taken
-    from ``choice`` or else from ``prepared``'s plan cache; a named
-    algorithm is looked up in the registry. Either way a keyword the
+    A named algorithm is looked up in the registry. ``"auto"`` takes the
+    Figure-7 plan ``choice`` — planning here (through ``prepared``'s
+    plan cache when given, ``planner.*`` counters into ``stats``) only
+    when the caller does not already hold it — and validates its pick up
+    front: when the pick is structurally inapplicable to this instance
+    the universally applicable HYBRID is substituted, with
+    algorithm-specific kwargs stripped. Either way a keyword the
     algorithm does not accept raises :class:`QueryError` before anything
-    runs.
+    runs; errors raised *during* execution, including :class:`PlanError`
+    from nested machinery, propagate untouched.
     """
-    if algorithm == "auto":
-        if choice is None and prepared is not None:
-            choice = prepared.cached_plan(query, stats=stats)
-        return _resolve_auto(query, kwargs, choice=choice, stats=stats)
-    fn = get_algorithm(algorithm)
-    _check_kwargs(algorithm, fn, kwargs)
-    return algorithm, fn, kwargs
-
-
-def _resolve_auto(
-    query: JoinQuery, kwargs: Dict, choice=None, stats=None
-) -> Tuple[str, Algorithm, Dict]:
-    """Run the Figure 7 planner and validate its pick up front.
-
-    Returns ``(name, fn, kwargs)``. ``kwargs`` are checked against the
-    planner's pick; when that pick is structurally inapplicable to this
-    instance the universally applicable HYBRID is substituted, with
-    algorithm-specific kwargs stripped. Errors raised *during* the
-    chosen algorithm's execution — including :class:`PlanError` from
-    nested machinery — propagate to the caller untouched. Callers that
-    already hold the :class:`~repro.core.planner.Plan` pass it as
-    ``choice`` so the planner runs once per call, not once per layer;
-    ``stats`` (used only when the planner actually runs here) collects
-    the ``planner.*`` search counters.
-    """
-    from ..core.planner import plan
-
+    if algorithm != "auto":
+        fn = get_algorithm(algorithm)
+        _check_kwargs(algorithm, fn, kwargs)
+        return algorithm, fn, kwargs
     if choice is None:
-        choice = plan(query, stats=stats)
+        choice = _plan(query, stats=stats, prepared=prepared)
     name = choice.algorithm
     fn = _REGISTRY[name]
     _check_kwargs(name, fn, kwargs)
@@ -346,42 +406,21 @@ def _binary_predicate_join(
     database: Mapping[str, TemporalRelation],
     tau: Number,
     predicate: str,
-    algorithm: str,
     stats: Optional[ExecutionStats],
-    workers: Optional[int],
     prepared,
 ) -> JoinResultSet:
     """Dispatch a non-``overlaps`` predicate to the lazy-sweep binary path.
 
-    Allen predicates are defined on a *pair* of intervals, so they apply
-    to binary queries only; the multiway machinery (attribute trees,
-    GHDs, shard-ownership merge) is all built on intersection semantics.
-    Hence the up-front :class:`QueryError` walls: exactly two edges, no
-    parallel workers, and only the ``auto``/``baseline`` algorithm names
-    (both of which mean "the binary join" on a two-edge query anyway).
+    :func:`_check_call` has already walled the call off to what the
+    binary sweep serves: exactly two edges, no parallel workers, and
+    only the ``auto``/``baseline`` algorithm names (both of which mean
+    "the binary join" on a two-edge query anyway).
 
     τ filters the *emitted* pair interval — the intersection, or the gap
     for ``before`` — by duration, consistent with the shrink/expand
     durability semantics of the overlaps path (where the emitted
     interval is always the intersection).
     """
-    names = query.edge_names
-    if len(names) != 2:
-        raise QueryError(
-            f"predicate {predicate!r} requires a binary query (exactly two "
-            f"edges); got {len(names)} edges {list(names)}. Only the "
-            "default 'overlaps' predicate supports multiway queries."
-        )
-    if workers is not None and workers > 1:
-        raise QueryError(
-            f"predicate {predicate!r} does not support workers={workers}: "
-            "the sharded merge's ownership rule assumes overlap semantics"
-        )
-    if algorithm not in ("auto", "baseline"):
-        raise QueryError(
-            f"predicate {predicate!r} runs the lazy-sweep binary engine; "
-            f"algorithm must be 'auto' or 'baseline', got {algorithm!r}"
-        )
     query.validate(database)
     from ..kernels.allen import kernel_predicate_join
 
@@ -475,55 +514,78 @@ def temporal_join(
         Result tuples in ``query.attrs`` order with their valid intervals
         (the original, un-shrunk intervals even when ``tau > 0``).
     """
-    _check_call(database, tau, workers, parallel_mode, prepared)
-    from .allen import parse_predicate
-
-    if parse_predicate(predicate) != ("overlaps",):
-        return _binary_predicate_join(
-            query, database, tau, predicate, algorithm, stats, workers, prepared
-        )
-    if workers is not None and workers > 1:
-        from ..parallel import parallel_temporal_join
-
-        return parallel_temporal_join(
-            query,
-            database,
-            tau=tau,
-            algorithm=algorithm,
-            workers=workers,
-            mode=parallel_mode,
-            stats=stats,
-            prepared=prepared,
-            **kwargs,
-        )
-    name, fn, kwargs = _resolve(
-        query, algorithm, kwargs, stats=stats, prepared=prepared
-    )
-    return _dispatch_serial(
-        name, fn, query, database, tau, stats, kwargs, prepared=prepared
-    )
+    return _run(
+        query, database, tau, algorithm, stats, workers, parallel_mode,
+        prepared, predicate, kwargs,
+    )[2]
 
 
-def _dispatch_serial(
-    name: str,
-    fn: Algorithm,
+#: The name the runner reports for the binary Allen-predicate route.
+_LAZY_SWEEP = "lazy-sweep"
+
+
+def _run(
     query: JoinQuery,
     database: Mapping[str, TemporalRelation],
     tau: Number,
+    algorithm: str,
     stats: Optional[ExecutionStats],
+    workers: Optional[int],
+    parallel_mode: str,
+    prepared,
+    predicate: str,
     kwargs: Dict,
-    prepared=None,
-) -> JoinResultSet:
-    """Run one resolved algorithm serially, on columns where it applies."""
+    choice=None,
+) -> Tuple[str, str, JoinResultSet]:
+    """Validate → resolve → run: the one call path into the algorithms.
+
+    Runs the :func:`_check_call` preamble, routes a non-``overlaps``
+    predicate to the binary lazy sweep, resolves ``algorithm`` (with the
+    caller's plan ``choice`` if it holds one, else planning at most
+    once) and runs the resolved algorithm serially or, for
+    ``workers >= 2``, across endpoint-balanced time shards. Returns
+    ``(name, engine, result)``: the algorithm that ran, the substrate it
+    ran on (``"kernel"`` or ``"object"``) and its result.
+    ``temporal_join``, ``explain_analyze`` and ``run_batch``'s fallback
+    evaluations all come through here, so what ``explain_analyze`` times
+    and reports is what ``temporal_join`` runs.
+    """
+    _check_call(
+        (query,), database, tau, workers, parallel_mode, prepared,
+        algorithm, predicate,
+    )
+    from .allen import parse_predicate
+
+    if parse_predicate(predicate) != ("overlaps",):
+        result = _binary_predicate_join(
+            query, database, tau, predicate, stats, prepared
+        )
+        return _LAZY_SWEEP, "kernel", result
+    name, fn, kwargs = _resolve(
+        query, algorithm, kwargs, choice=choice, stats=stats, prepared=prepared
+    )
     from ..kernels.engine import kernel_timefirst_join, runs_on_columns
 
-    if runs_on_columns(name, kwargs):
-        return kernel_timefirst_join(
+    engine = "kernel" if runs_on_columns(name, kwargs) else "object"
+    if workers is not None and workers > 1:
+        from ..parallel.executor import sharded_join
+        from ..parallel.partition import partition_timeline
+
+        query.validate(database)
+        result = sharded_join(
+            query, database, tau, name, kwargs,
+            partition_timeline(database, workers), parallel_mode,
+            stats=stats, prepared=prepared,
+        )
+    elif engine == "kernel":
+        result = kernel_timefirst_join(
             query, database, tau=tau, stats=stats, prepared=prepared
         )
-    if stats is not None:
-        kwargs = dict(kwargs, stats=stats)
-    return fn(query, database, tau=tau, **kwargs)
+    else:
+        if stats is not None:
+            kwargs = dict(kwargs, stats=stats)
+        result = fn(query, database, tau=tau, **kwargs)
+    return name, engine, result
 
 
 @dataclass
@@ -576,87 +638,57 @@ def explain_analyze(
 ) -> ExplainAnalyze:
     """Run the join with telemetry attached and report plan + counters.
 
-    The observability counterpart of :func:`temporal_join`: evaluates the
-    query exactly as ``temporal_join`` would (same validation, planner,
-    fallback and kwargs) but with an :class:`ExecutionStats` collecting
-    counters, and returns an :class:`ExplainAnalyze` pairing the
-    planner's static ``explain()`` with what actually happened — events
-    processed, peak active-set size, intermediate cardinalities, phase
-    timers, wall time, and the substrate that ran.
+    The observability counterpart of :func:`temporal_join`: it plans
+    once for the explanation, then times one call of the same runner
+    ``temporal_join`` uses, handing it that plan — same validation,
+    predicate route, fallback, kwargs, substrate and sharding, so the
+    report describes the code path ``temporal_join`` runs. The returned
+    :class:`ExplainAnalyze` pairs the planner's static ``explain()``
+    with what actually happened — events processed, peak active-set
+    size, intermediate cardinalities, phase timers, wall time, and the
+    algorithm and substrate that ran.
 
     ``stats`` may be supplied to accumulate counters across several runs
     (e.g. a parameter sweep); by default a fresh object is used. With
-    ``workers >= 2`` the run goes through the parallel engine and the
-    report includes the ``parallel.*`` counters and per-shard timers.
-    With ``prepared=`` the run reuses the artifact's columns and plan
-    cache exactly as ``temporal_join`` would, and the report's counters
-    include the ``prepared.*`` rows (cache hits, reuse, time saved).
+    ``workers >= 2`` the report includes the ``parallel.*`` counters and
+    per-shard timers; with ``prepared=`` the ``prepared.*`` rows (cache
+    hits, reuse, time saved). The counters equal those of
+    ``temporal_join(..., stats=)`` with the same arguments, except the
+    timing-derived ``parallel.skew_pct_peak`` and, when ``algorithm``
+    is named rather than ``"auto"``, the ``planner.*`` /
+    ``prepared.plan_cache_*`` rows of the explanation's plan.
     """
-    _check_call(database, tau, workers, parallel_mode, prepared)
+    # Before planning, so bad inputs (a bad predicate call included)
+    # fail as QueryError rather than after a plan search; the timed
+    # runner call repeats the preamble, as every temporal_join call
+    # pays it.
+    _check_call(
+        (query,), database, tau, workers, parallel_mode, prepared,
+        algorithm, predicate,
+    )
     if stats is None:
         # Created before the planner runs so the ``planner.*`` search
         # counters land in the report alongside the execution counters.
         stats = ExecutionStats()
-    input_size = sum(len(rel) for rel in database.values())
-    from .allen import parse_predicate
-
-    if parse_predicate(predicate) != ("overlaps",):
-        # Non-overlaps predicates bypass the Figure-7 planner entirely:
-        # the binary lazy-sweep path is the plan.
-        start = time.perf_counter()
-        result = _binary_predicate_join(
-            query, database, tau, predicate, algorithm, stats, workers, prepared
-        )
-        seconds = time.perf_counter() - start
-        return ExplainAnalyze(
-            algorithm="lazy-sweep",
-            plan_explanation=(
-                f"binary Allen-predicate join (predicate={predicate!r}): "
-                "one lazy endpoint sweep per shared-attribute key group; "
-                "no multiway plan applies"
-            ),
-            stats=stats,
-            result=result,
-            seconds=seconds,
-            tau=tau,
-            input_size=input_size,
-            engine="kernel",
-        )
-    if prepared is not None:
-        choice = prepared.cached_plan(query, stats=stats)
-    else:
-        from ..core.planner import plan
-
-        choice = plan(query, stats=stats)
-    # The planner already ran above; reuse its plan rather than
-    # re-deriving it inside the resolver.
-    name, fn, kwargs = _resolve(query, algorithm, kwargs, choice=choice)
-    from ..kernels.engine import runs_on_columns
-
-    # The rule the dispatch sites apply to the *post-fallback* algorithm:
-    # the reported engine is the engine that runs, by construction.
-    engine = "kernel" if runs_on_columns(name, kwargs) else "object"
+    choice = _plan(query, stats=stats, prepared=prepared)
     start = time.perf_counter()
-    if workers is not None and workers > 1:
-        from ..parallel import parallel_temporal_join
-
-        result = parallel_temporal_join(
-            query, database, tau=tau, algorithm=name,
-            workers=workers, mode=parallel_mode, stats=stats,
-            prepared=prepared, **kwargs,
-        )
-    else:
-        result = _dispatch_serial(
-            name, fn, query, database, tau, stats, kwargs, prepared=prepared
-        )
+    name, engine, result = _run(
+        query, database, tau, algorithm, stats, workers, parallel_mode,
+        prepared, predicate, kwargs, choice=choice,
+    )
     seconds = time.perf_counter() - start
     explanation = choice.explain()
-    if algorithm != "auto":
-        if name != choice.algorithm:
-            explanation += (
-                f"\n(algorithm forced to {name!r} by caller; the planner "
-                f"would have picked {choice.algorithm!r})"
-            )
+    if name == _LAZY_SWEEP:
+        explanation += (
+            f"\n(binary Allen-predicate join, predicate={predicate!r}: one "
+            "lazy endpoint sweep per shared-attribute key group; the "
+            "multiway plan above does not apply)"
+        )
+    elif name != choice.algorithm and algorithm != "auto":
+        explanation += (
+            f"\n(algorithm forced to {name!r} by caller; the planner "
+            f"would have picked {choice.algorithm!r})"
+        )
     elif name != choice.algorithm:
         explanation += (
             f"\n(auto fallback: planner picked {choice.algorithm!r}, "
@@ -669,6 +701,6 @@ def explain_analyze(
         result=result,
         seconds=seconds,
         tau=tau,
-        input_size=input_size,
+        input_size=sum(len(rel) for rel in database.values()),
         engine=engine,
     )

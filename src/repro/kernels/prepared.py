@@ -10,7 +10,10 @@ over:
 
 * ``temporal_join(query, database, prepared=artifact)`` validates the
   artifact against ``database`` and skips ``build_columns`` entirely;
-* :func:`run_batch` evaluates a whole query fleet against one artifact —
+* :func:`run_batch` evaluates a whole query fleet against one artifact,
+  after the same validation preamble as ``temporal_join``
+  (``registry._check_call``), running the queries the artifact cannot
+  serve through ``temporal_join``'s runner under their resolved names —
   distinct hypergraphs are swept once each (queries differing only in
   output attribute order share one sweep and get projections of its
   rows), τ-shrunk views and per-query relation restrictions are derived
@@ -289,21 +292,23 @@ def run_batch(
 
     Queries the kernel cannot serve from the artifact — algorithms that
     run on object rows, or r-hierarchical queries needing the per-query
-    instance reduction — fall back to cold ``temporal_join`` on the
-    relations they touch (``prepared.fallback_queries``). A batch takes
-    no algorithm keyword arguments: any raises :class:`QueryError`.
+    instance reduction — fall back to a cold run of their resolved
+    algorithm on the relations they touch, through the same runner as
+    ``temporal_join`` (``prepared.fallback_queries``). Arguments are
+    checked by the preamble ``temporal_join`` uses: a bad ``queries``,
+    ``prepared``, ``tau``, ``workers`` or ``parallel_mode`` raises
+    :class:`QueryError` before anything runs, and so does any algorithm
+    keyword argument, which a batch does not take.
     """
     from ..algorithms.registry import (
-        _check_parallel,
-        _check_tau,
-        _ensure_loaded,
+        _check_call,
+        _check_prepared,
         _resolve,
-        temporal_join,
+        _run,
     )
 
-    _ensure_loaded()
-    _check_tau(tau)
-    _check_parallel(workers, parallel_mode)
+    _check_prepared(prepared)
+    _check_call(queries, prepared.database, tau, workers, parallel_mode, prepared)
     if kwargs:
         raise QueryError(
             f"run_batch takes no algorithm keyword arguments, got {sorted(kwargs)}"
@@ -355,7 +360,6 @@ def run_batch(
             view,
             partition_timeline(prepared.database, workers),
             tau,
-            workers,
             parallel_mode,
             stats,
         )
@@ -374,14 +378,9 @@ def run_batch(
             name: prepared.database[name]
             for name in evaluation.query.edge_names
         }
-        evaluation.result = temporal_join(
-            evaluation.query,
-            sub_db,
-            tau=tau,
-            algorithm=evaluation.name,
-            stats=stats,
-            workers=workers,
-            parallel_mode=parallel_mode,
+        _, _, evaluation.result = _run(
+            evaluation.query, sub_db, tau, evaluation.name, stats, workers,
+            parallel_mode, prepared=None, predicate="overlaps", kwargs={},
         )
         if stats is not None:
             stats.incr("prepared.fallback_queries", len(evaluation.indices))

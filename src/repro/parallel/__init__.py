@@ -3,11 +3,12 @@
 Runs any registered evaluation strategy across ``p`` contiguous time
 shards and reassembles the global result without deduplication. See
 ``DESIGN.md`` ("Parallel execution") for the ownership rule and the
-boundary-replication argument; the entry point users normally reach is
-``temporal_join(..., workers=p)`` in :mod:`repro.algorithms.registry`.
+boundary-replication argument. The entry point is
+``temporal_join(..., workers=p, parallel_mode=...)`` in
+:mod:`repro.algorithms.registry`, which validates and resolves the call
+and then runs :func:`repro.parallel.executor.sharded_join`.
 """
 
-from .executor import MODES, parallel_temporal_join
 from .merge import merge_outcomes
 from .partition import (
     TimePartition,
@@ -19,13 +20,11 @@ from .partition import (
 from .worker import ShardOutcome, ShardTask, run_shard
 
 __all__ = [
-    "MODES",
     "ShardOutcome",
     "ShardTask",
     "TimePartition",
     "collect_endpoints",
     "merge_outcomes",
-    "parallel_temporal_join",
     "partition_timeline",
     "replication_factor",
     "run_shard",

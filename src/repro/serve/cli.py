@@ -104,9 +104,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--stats", action="store_true",
                         help="print the merged serve.* telemetry")
     args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error(f"--n must be >= 1, got {args.n}")
 
+    service = TemporalJoinService()
+    handles = []
     try:
         label, database, fleet = WORKLOADS[args.workload](args.n, args.tau)
+        for name, query, tau in fleet:
+            handles.append(
+                service.register(
+                    query, tau=tau, name=name,
+                    policy=args.policy, buffer_size=args.buffer_size,
+                )
+            )
     except ReproError as exc:
         parser.error(str(exc))
 
@@ -119,15 +130,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           "distinct templates, one shared ingest pass")
     print()
 
-    service = TemporalJoinService()
-    handles = []
-    for name, query, tau in fleet:
-        handles.append(
-            service.register(
-                query, tau=tau, name=name,
-                policy=args.policy, buffer_size=args.buffer_size,
-            )
-        )
     service.ingest_database(database)
 
     print("Per-query SLO report")

@@ -226,8 +226,17 @@ class StandingQuery:
     # ------------------------------------------------------------------
     # Producer API (the service side)
     # ------------------------------------------------------------------
-    def _deliver(self, emissions: List[Emission], watermark: Optional[Number]) -> None:
-        """Deliver finalized rows; apply the backpressure policy."""
+    def _deliver(
+        self,
+        emissions: List[Emission],
+        watermark: Optional[Number],
+        wait: bool = True,
+    ) -> None:
+        """Deliver finalized rows; apply the backpressure policy.
+
+        With ``wait=False`` a full ``block`` buffer times out at once
+        instead of waiting ``block_timeout`` for a consumer.
+        """
         stats = self.stats
         for emission in emissions:
             if self._retained is not None:
@@ -264,10 +273,11 @@ class StandingQuery:
                             f"({self.buffer_size} emissions pending; policy=error)"
                         )
                     else:  # BLOCK: wait for a consumer to make room
-                        if not self._cond.wait(timeout=self.block_timeout):
+                        timeout = self.block_timeout if wait else 0
+                        if not self._cond.wait(timeout=timeout):
                             raise QueryError(
                                 f"standing query {self.name!r} backpressure "
-                                f"timeout after {self.block_timeout}s "
+                                f"timeout after {timeout}s "
                                 f"(buffer full, no consumer progress)"
                             )
                 self._buffer.append(emission)

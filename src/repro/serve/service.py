@@ -289,6 +289,7 @@ class TemporalJoinService:
                 stats.incr("serve.unmatched_appends")
             delivered = 0
             active = 0
+            errors: List[QueryError] = []
             for evaluation in self._evaluations.values():
                 if relation in evaluation.relations:
                     half = evaluation.half
@@ -299,9 +300,13 @@ class TemporalJoinService:
                     else:
                         stats.incr("serve.fanout_inserts")
                         rows = evaluation.op.insert(relation, values, run_iv)
-                        delivered += self._dispatch(evaluation, rows, trigger=iv.lo)
+                        delivered += self._dispatch(
+                            evaluation, rows, iv.lo, errors
+                        )
                 active += evaluation.op.active_count
             stats.peak("serve.active_peak", active)
+            if errors:
+                raise errors[0]
             return delivered
 
     def advance_to(self, watermark: Number) -> int:
@@ -324,9 +329,12 @@ class TemporalJoinService:
             self._watermark = watermark
             stats.incr("serve.watermarks")
             delivered = 0
+            errors: List[QueryError] = []
             for evaluation in self._evaluations.values():
                 rows = evaluation.op.advance_to(watermark + evaluation.half)
-                delivered += self._dispatch(evaluation, rows, trigger=watermark)
+                delivered += self._dispatch(evaluation, rows, watermark, errors)
+            if errors:
+                raise errors[0]
             return delivered
 
     def finish(self) -> int:
@@ -339,12 +347,15 @@ class TemporalJoinService:
             # jumps to +inf and every handle's snapshot becomes complete.
             self._watermark = float("inf")
             delivered = 0
+            errors: List[QueryError] = []
             for evaluation in self._evaluations.values():
                 rows = evaluation.op.finish()
-                delivered += self._dispatch(evaluation, rows, trigger=None)
+                delivered += self._dispatch(evaluation, rows, None, errors)
             for evaluation in self._evaluations.values():
                 for handle in evaluation.handles:
                     handle._close()
+            if errors:
+                raise errors[0]
             return delivered
 
     def ingest_stream(
@@ -382,8 +393,17 @@ class TemporalJoinService:
         evaluation: _Evaluation,
         rows: List[ResultRow],
         trigger: Optional[Number],
+        errors: List[QueryError],
     ) -> int:
-        """Expand, project and deliver freshly finalized rows."""
+        """Expand, project and deliver freshly finalized rows.
+
+        Every handle receives its rows. A handle whose backpressure
+        policy raises (``error`` overflow, ``block`` timeout) has its
+        error appended to ``errors``; the caller re-raises the first one
+        once every evaluation has been served. Once an error is recorded
+        the call is bound to raise, so later ``block`` handles do not
+        wait for room: the call stalls at most one ``block_timeout``.
+        """
         watermark = self._watermark
         if not rows:
             for handle in evaluation.handles:
@@ -403,19 +423,22 @@ class TemporalJoinService:
             for handle in evaluation.handles:
                 projection = evaluation.projection(handle.query)
                 if projection is None:
-                    handle._deliver(emissions, watermark)
+                    batch = emissions
                 else:
-                    handle._deliver(
-                        [
-                            Emission(
-                                tuple(e.values[p] for p in projection),
-                                e.interval,
-                                e.at,
-                            )
-                            for e in emissions
-                        ],
-                        watermark,
-                    )
+                    batch = [
+                        Emission(
+                            tuple(e.values[p] for p in projection),
+                            e.interval,
+                            e.at,
+                        )
+                        for e in emissions
+                    ]
+                try:
+                    handle._deliver(batch, watermark, wait=not errors)
+                except QueryError as exc:
+                    # One handle's backpressure error must not cost its
+                    # siblings rows the operator has already emitted.
+                    errors.append(exc)
         stats.incr("serve.results_emitted", len(rows))
         return len(emissions) * len(evaluation.handles)
 

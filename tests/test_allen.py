@@ -329,3 +329,32 @@ class TestRegistryDispatch:
         query, db = line2_database(random.Random(10))
         with pytest.raises(QueryError, match="predicate"):
             temporal_join(query, db, predicate="meets", algorithm="timefirst")
+
+    @pytest.mark.parametrize(
+        "edges, kwargs, match",
+        [
+            (3, {"predicate": "meets"}, "binary"),
+            (2, {"predicate": "meets", "workers": 2}, "workers"),
+            (2, {"predicate": "meets", "algorithm": "hybrid"}, "predicate"),
+            (2, {"predicate": "bogus"}, "unknown interval predicate"),
+        ],
+    )
+    def test_explain_analyze_rejects_before_planning(
+        self, edges, kwargs, match, monkeypatch
+    ):
+        from repro.core import planner
+
+        def no_plan(*args, **kw):
+            raise AssertionError("planned a call the preamble rejects")
+
+        monkeypatch.setattr(planner, "plan", no_plan)
+        query = JoinQuery.line(edges)
+        db = {
+            name: TemporalRelation(
+                name, query.edge(name),
+                [((f"u{i}", f"w{i}"), (i, i + 2)) for i in range(4)],
+            )
+            for name in query.edge_names
+        }
+        with pytest.raises(QueryError, match=match):
+            explain_analyze(query, db, **kwargs)

@@ -9,6 +9,7 @@ from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.core.errors import QueryError
+from repro.obs import ExecutionStats
 
 from conftest import random_database
 
@@ -138,9 +139,12 @@ class TestBaselineJoin:
     def test_track_intermediates(self, rng):
         q = JoinQuery.line(3)
         db = random_database(q, rng, n=10, domain=3)
-        sizes = []
-        baseline_join(q, db, track_intermediates=sizes)
-        assert len(sizes) == 2  # two binary joins for three relations
+        stats = ExecutionStats()
+        baseline_join(q, db, stats=stats)
+        # Two binary joins for three relations, one size observation each.
+        assert stats["bin.joins"] == 2
+        assert stats["bin.intermediate_rows.count"] == 2
+        assert stats["bin.intermediate_rows.total"] >= 0
 
     def test_short_circuit_on_empty_intermediate(self):
         q = JoinQuery.line(3)

@@ -165,3 +165,18 @@ class TestServeSubcommand:
         with pytest.raises(SystemExit):
             main(["serve", "enron"])
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["synthetic", "--buffer-size", "0"], "buffer_size must be >= 1"),
+            (["tpce", "--tau", "nan"], "tau must be finite"),
+            (["synthetic", "--n", "0"], "--n must be >= 1"),
+        ],
+        ids=["buffer-size-0", "tau-nan", "n-0"],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, args, message):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", *args])
+        assert info.value.code == 2  # argparse usage error, not a traceback
+        assert message in capsys.readouterr().err

@@ -224,6 +224,40 @@ class TestDispatchArguments:
             entry(q, db, algorithm=algorithm, **kwargs)
         assert "tau" in str(info.value)  # names the accepted keywords
 
+    @pytest.mark.parametrize(
+        "entry", ["temporal_join", "explain_analyze", "run_batch"]
+    )
+    @pytest.mark.parametrize(
+        "case", ["prepared-not-artifact", "query-not-joinquery",
+                 "database-missing", "queries-missing"],
+    )
+    def test_bad_argument_types_rejected_by_preamble(self, line2, entry, case):
+        from repro.algorithms.registry import explain_analyze, temporal_join
+        from repro.kernels.prepared import prepare, run_batch
+
+        q, db = line2
+        if entry == "run_batch":
+            queries, prepared = {
+                "prepared-not-artifact": ([q], "x"),
+                "query-not-joinquery": (["R1(x)"], prepare(db)),
+                "database-missing": ([q], None),
+                "queries-missing": (None, prepare(db)),
+            }[case]
+            call = lambda: run_batch(queries, prepared)  # noqa: E731
+        else:
+            fn = temporal_join if entry == "temporal_join" else explain_analyze
+            query, database, kwargs = {
+                "prepared-not-artifact": (q, db, {"prepared": "x"}),
+                "query-not-joinquery": ("R1(x)", db, {}),
+                "database-missing": (q, None, {}),
+                "queries-missing": (None, db, {}),
+            }[case]
+            call = lambda: fn(query, database, **kwargs)  # noqa: E731
+        with pytest.raises(QueryError) as info:
+            call()
+        raised_in = {frame.name for frame in info.traceback}
+        assert raised_in & {"_check_call", "_check_prepared"}
+
     def test_unknown_kwargs_rejected_sharded_and_batch(self, line2):
         q, db = line2
         with pytest.raises(QueryError, match="engine"):

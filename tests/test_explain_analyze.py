@@ -185,3 +185,72 @@ class TestStatsThreading:
             stats = ExecutionStats()
             temporal_join(query, db, algorithm=algorithm, stats=stats)
             assert stats["results"] == K
+
+
+class TestOneCallPath:
+    """``explain_analyze`` times the runner ``temporal_join`` runs.
+
+    Same arguments, same counters: the report may add only what its own
+    plan records (``planner.*`` / ``prepared.plan_cache_*`` and the
+    ``phase.planner.*`` timers, for named algorithms, which
+    ``temporal_join`` never plans), and the timing-derived
+    ``parallel.skew_pct_peak`` may differ.
+    """
+
+    @staticmethod
+    def _comparable(stats, named):
+        def keep(key):
+            if key == "parallel.skew_pct_peak":
+                return False
+            return not named or not key.startswith(
+                ("planner.", "prepared.plan_cache_", "phase.planner.")
+            )
+
+        counters = {k: v for k, v in stats.counters.items() if keep(k)}
+        return counters, {k for k in stats.timers if keep(k)}
+
+    @pytest.mark.parametrize("family", ["star3", "line3"])
+    @pytest.mark.parametrize(
+        "algorithm", ["auto", "timefirst", "hybrid", "baseline"]
+    )
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "sharded"])
+    @pytest.mark.parametrize("use_prepared", [False, True], ids=["cold", "prepared"])
+    def test_same_counters_as_temporal_join(
+        self, monkeypatch, family, algorithm, workers, use_prepared
+    ):
+        from repro.algorithms import registry
+        from repro.kernels.prepared import prepare
+        from repro.nontemporal.search import clear_search_memo
+        from repro.workloads.synthetic import SyntheticConfig, generate
+
+        query = JoinQuery.star(3) if family == "star3" else JoinQuery.line(3)
+        db = generate(query, SyntheticConfig(n_dangling=20, n_results=6))
+
+        def call_kwargs():
+            # A fresh artifact and a cold planner memo for each call, so
+            # neither run inherits cache hits from the other.
+            clear_search_memo()
+            return dict(
+                algorithm=algorithm, workers=workers, parallel_mode="inline",
+                prepared=prepare(db) if use_prepared else None,
+            )
+
+        ran = []
+        real_run = registry._run
+
+        def recording_run(*args, **kwargs):
+            out = real_run(*args, **kwargs)
+            ran.append(out[:2])
+            return out
+
+        monkeypatch.setattr(registry, "_run", recording_run)
+        stats = ExecutionStats()
+        want = temporal_join(query, db, stats=stats, **call_kwargs())
+        report = explain_analyze(query, db, **call_kwargs())
+        assert len(ran) == 2 and ran[0] == ran[1]
+        assert (report.algorithm, report.engine) == ran[1]
+        assert report.result.normalized() == want.normalized()
+        named = algorithm != "auto"
+        assert self._comparable(report.stats, named) == self._comparable(
+            stats, named
+        )

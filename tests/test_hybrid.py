@@ -9,6 +9,7 @@ from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.nontemporal.ghd import ghd_from_partition
+from repro.obs import ExecutionStats
 
 from conftest import random_database
 
@@ -126,8 +127,10 @@ class TestHybridJoin:
     def test_track_intermediates(self, rng):
         query = JoinQuery.cycle(4)
         db = random_database(query, rng, n=12, domain=3)
-        sizes = []
-        hybrid_join(query, db, track_intermediates=sizes)
+        stats = ExecutionStats()
+        hybrid_join(query, db, stats=stats)
         ghd = select_hybrid_ghd(query.hypergraph, "auto")
-        assert len(sizes) == len(ghd.bags)
-        assert all(s >= 0 for s in sizes)
+        # One materialized-size observation per bag.
+        assert stats["hybrid.bag_rows.count"] == len(ghd.bags)
+        assert stats["hybrid.bags"] == len(ghd.bags)
+        assert 0 <= stats["hybrid.bag_rows.max"] <= stats["hybrid.bag_rows.total"]

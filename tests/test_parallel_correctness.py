@@ -1,7 +1,8 @@
 """Parallel execution must be indistinguishable from serial execution.
 
 The contract under test: for every registered algorithm and every
-workload, ``parallel_temporal_join(..., workers=p)`` returns exactly the
+workload, ``temporal_join(..., workers=p, parallel_mode="inline")``
+(for one shard, the sharded path run directly) returns exactly the
 serial result set for every shard count — including results whose
 intervals straddle shard boundaries, τ > 0, and degenerate partitions.
 The merge path performs no deduplication, so any ownership bug shows up
@@ -14,13 +15,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.algorithms.registry import temporal_join
+from repro.algorithms.registry import _resolve, temporal_join
 from repro.core.errors import ReproError
 from repro.core.interval import Interval
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.obs import ExecutionStats
-from repro.parallel import parallel_temporal_join
+from repro.parallel.executor import sharded_join
+from repro.parallel.partition import TimePartition, partition_timeline
 from repro.workloads.synthetic import SyntheticConfig, generate
 
 from conftest import random_database
@@ -43,10 +45,19 @@ def assert_parallel_matches_serial(query, db, algorithms, shard_counts, taus=(0,
                 continue  # structurally inapplicable to this query
             want_n = want.normalized()
             for p in shard_counts:
-                got = parallel_temporal_join(
-                    query, db, tau=tau, algorithm=algorithm,
-                    workers=p, mode="inline",
-                )
+                if p == 1:
+                    # workers=1 runs serially; drive the one-shard
+                    # sharded path (ownership filter, shard tasks) itself.
+                    name = _resolve(query, algorithm, {})[0]
+                    got = sharded_join(
+                        query, db, tau, name, {},
+                        partition_timeline(db, 1), "inline",
+                    )
+                else:
+                    got = temporal_join(
+                        query, db, tau=tau, algorithm=algorithm,
+                        workers=p, parallel_mode="inline",
+                    )
                 assert got.normalized() == want_n, (
                     f"{algorithm} diverges from serial at workers={p}, "
                     f"tau={tau} on {query!r}"
@@ -152,9 +163,8 @@ class TestBoundaryStraddling:
         q, db = self._db()
         want = temporal_join(q, db, algorithm="timefirst").normalized()
         for cuts in [(50,), (25, 50, 75), (49, 50, 51), (1, 99)]:
-            got = parallel_temporal_join(
-                q, db, algorithm="timefirst", workers=len(cuts) + 1,
-                mode="inline", cuts=cuts,
+            got = sharded_join(
+                q, db, 0, "timefirst", {}, TimePartition(cuts), "inline"
             )
             assert got.normalized() == want, f"cuts={cuts}"
 
@@ -168,9 +178,9 @@ class TestBoundaryStraddling:
             "R2": TemporalRelation("R2", ("x2", "y"), [(("u", "h"), (0, 100))]),
         }
         stats = ExecutionStats()
-        got = parallel_temporal_join(
-            q, db, algorithm="timefirst", workers=2, mode="inline",
-            cuts=(50,), stats=stats,
+        got = sharded_join(
+            q, db, 0, "timefirst", {}, TimePartition((50,)), "inline",
+            stats=stats,
         )
         assert got.normalized() == [(("a", "h", "u"), Interval(10, 50))]
         assert stats.get("parallel.shard_results.total") == 1
@@ -187,8 +197,8 @@ class TestBoundaryStraddling:
             ),
         }
         want = temporal_join(q, db, algorithm="timefirst").normalized()
-        got = parallel_temporal_join(
-            q, db, algorithm="timefirst", workers=3, mode="inline", cuts=(3, 7)
+        got = sharded_join(
+            q, db, 0, "timefirst", {}, TimePartition((3, 7)), "inline"
         )
         assert got.normalized() == want
         assert len(got) == 2
@@ -202,9 +212,8 @@ class TestBoundaryStraddling:
         # Intersection [20, 40], durability 20.
         for tau in (0, 10, 20, 21):
             want = temporal_join(q, db, tau=tau, algorithm="timefirst").normalized()
-            got = parallel_temporal_join(
-                q, db, tau=tau, algorithm="timefirst", workers=2,
-                mode="inline", cuts=(30,),
+            got = sharded_join(
+                q, db, tau, "timefirst", {}, TimePartition((30,)), "inline"
             )
             assert got.normalized() == want, f"tau={tau}"
 
@@ -218,9 +227,9 @@ class TestProcessMode:
         db = generate(query, SyntheticConfig(n_dangling=30, n_results=8))
         want = temporal_join(query, db, algorithm=algorithm).normalized()
         stats = ExecutionStats()
-        got = parallel_temporal_join(
-            query, db, algorithm=algorithm, workers=2, mode="process",
-            stats=stats,
+        got = temporal_join(
+            query, db, algorithm=algorithm, workers=2,
+            parallel_mode="process", stats=stats,
         )
         assert got.normalized() == want
         assert stats.get("parallel.shards") == 2

@@ -14,7 +14,8 @@ from repro.core.errors import QueryError
 from repro.core.query import JoinQuery
 from repro.core.relation import TemporalRelation
 from repro.obs import ExecutionStats
-from repro.parallel import parallel_temporal_join
+from repro.parallel.executor import sharded_join
+from repro.parallel.partition import TimePartition, partition_timeline
 from repro.workloads.synthetic import SyntheticConfig, generate
 
 from conftest import random_database
@@ -31,8 +32,9 @@ class TestExecutor:
     def test_workers_one_runs_inline(self, line3):
         query, db = line3
         stats = ExecutionStats()
-        got = parallel_temporal_join(
-            query, db, algorithm="timefirst", workers=1, stats=stats
+        got = sharded_join(
+            query, db, 0, "timefirst", {}, partition_timeline(db, 1),
+            "process", stats=stats,
         )
         want = temporal_join(query, db, algorithm="timefirst")
         assert got.normalized() == want.normalized()
@@ -46,9 +48,9 @@ class TestExecutor:
             "R2": TemporalRelation("R2", ("x2", "y"), [(("u", "h"), (5, 5))]),
         }
         stats = ExecutionStats()
-        got = parallel_temporal_join(
-            query, db, algorithm="timefirst", workers=4, mode="inline",
-            stats=stats,
+        got = temporal_join(
+            query, db, algorithm="timefirst", workers=4,
+            parallel_mode="inline", stats=stats,
         )
         assert stats["parallel.shards"] == 1
         assert len(got) == 1
@@ -59,8 +61,8 @@ class TestExecutor:
             "R1": TemporalRelation("R1", ("x1", "y")),
             "R2": TemporalRelation("R2", ("x2", "y")),
         }
-        got = parallel_temporal_join(
-            query, db, algorithm="timefirst", workers=4, mode="inline"
+        got = temporal_join(
+            query, db, algorithm="timefirst", workers=4, parallel_mode="inline"
         )
         assert len(got) == 0
 
@@ -68,43 +70,56 @@ class TestExecutor:
         query = JoinQuery.star(2)
         db = random_database(query, random.Random(1), n=3, domain=2)
         want = temporal_join(query, db, algorithm="timefirst").normalized()
-        got = parallel_temporal_join(
-            query, db, algorithm="timefirst", workers=16, mode="inline"
+        got = temporal_join(
+            query, db, algorithm="timefirst", workers=16, parallel_mode="inline"
         )
         assert got.normalized() == want
 
-    def test_auto_algorithm_resolved_once(self, line3):
+    def test_auto_algorithm_resolved_once(self, line3, monkeypatch):
+        from repro.core import planner
+
         query, db = line3
         want = temporal_join(query, db, algorithm="auto").normalized()
-        got = parallel_temporal_join(
-            query, db, algorithm="auto", workers=3, mode="inline"
+        calls = []
+        real_plan = planner.plan
+
+        def counting_plan(*args, **kwargs):
+            calls.append(1)
+            return real_plan(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "plan", counting_plan)
+        got = temporal_join(
+            query, db, algorithm="auto", workers=3, parallel_mode="inline"
         )
         assert got.normalized() == want
+        assert len(calls) == 1  # planned once, not once per layer or shard
 
     def test_unknown_mode_rejected(self, line3):
         query, db = line3
         with pytest.raises(QueryError, match="mode"):
-            parallel_temporal_join(
-                query, db, algorithm="timefirst", workers=2, mode="threads"
+            temporal_join(
+                query, db, algorithm="timefirst", workers=2,
+                parallel_mode="threads",
             )
 
     def test_invalid_workers_rejected(self, line3):
         query, db = line3
         with pytest.raises(QueryError, match="workers"):
-            parallel_temporal_join(query, db, algorithm="timefirst", workers=0)
+            temporal_join(query, db, algorithm="timefirst", workers=-1)
 
     def test_invalid_tau_rejected_before_execution(self, line3):
         query, db = line3
         with pytest.raises(QueryError, match="finite"):
-            parallel_temporal_join(
+            temporal_join(
                 query, db, tau=float("inf"), algorithm="timefirst", workers=2
             )
 
     def test_unknown_algorithm_rejected(self, line3):
         query, db = line3
         with pytest.raises(QueryError, match="unknown algorithm"):
-            parallel_temporal_join(
-                query, db, algorithm="quantum", workers=2, mode="inline"
+            temporal_join(
+                query, db, algorithm="quantum", workers=2,
+                parallel_mode="inline",
             )
 
     def test_algorithm_kwargs_forwarded_to_shards(self, line3):
@@ -112,9 +127,9 @@ class TestExecutor:
         want = temporal_join(
             query, db, algorithm="baseline", order=("R3", "R2", "R1")
         ).normalized()
-        got = parallel_temporal_join(
-            query, db, algorithm="baseline", workers=3, mode="inline",
-            order=("R3", "R2", "R1"),
+        got = temporal_join(
+            query, db, algorithm="baseline", workers=3,
+            parallel_mode="inline", order=("R3", "R2", "R1"),
         )
         assert got.normalized() == want
 
@@ -123,9 +138,9 @@ class TestTelemetry:
     def test_parallel_counters(self, line3):
         query, db = line3
         stats = ExecutionStats()
-        got = parallel_temporal_join(
-            query, db, algorithm="timefirst", workers=3, mode="inline",
-            stats=stats,
+        got = temporal_join(
+            query, db, algorithm="timefirst", workers=3,
+            parallel_mode="inline", stats=stats,
         )
         shards = stats["parallel.shards"]
         assert 1 < shards <= 3
@@ -153,9 +168,9 @@ class TestTelemetry:
             ),
         }
         stats = ExecutionStats()
-        parallel_temporal_join(
-            query, db, algorithm="timefirst", workers=2, mode="inline",
-            cuts=(50,), stats=stats,
+        sharded_join(
+            query, db, 0, "timefirst", {}, TimePartition((50,)), "inline",
+            stats=stats,
         )
         assert stats["parallel.shards"] == 2
         assert stats["parallel.replicated"] == 1  # only ("a","h") straddles
@@ -163,9 +178,9 @@ class TestTelemetry:
     def test_algorithm_counters_summed_across_shards(self, line3):
         query, db = line3
         stats = ExecutionStats()
-        parallel_temporal_join(
-            query, db, algorithm="timefirst", workers=2, mode="inline",
-            stats=stats,
+        temporal_join(
+            query, db, algorithm="timefirst", workers=2,
+            parallel_mode="inline", stats=stats,
         )
         # Each shard sweeps 2 * (its tuples) events; replication makes the
         # sum at least 2N.
@@ -174,8 +189,8 @@ class TestTelemetry:
 
     def test_no_stats_no_telemetry_overhead(self, line3):
         query, db = line3
-        got = parallel_temporal_join(
-            query, db, algorithm="timefirst", workers=2, mode="inline"
+        got = temporal_join(
+            query, db, algorithm="timefirst", workers=2, parallel_mode="inline"
         )
         assert len(got) > 0  # and no exception from the stats-free path
 

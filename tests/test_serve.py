@@ -1,6 +1,7 @@
 """Unit tests for the serving layer (ingest path, handles, registry)."""
 
 import threading
+import time
 
 import pytest
 
@@ -171,6 +172,81 @@ class TestBackpressure:
     def test_block_policy_times_out_without_consumer(self):
         with pytest.raises(QueryError, match="timeout"):
             self._flood(Backpressure.BLOCK, buffer_size=2, block_timeout=0.05)
+
+    def test_error_on_one_handle_still_feeds_siblings(self):
+        # Two handles on one template: "a" overflows and raises, "b" must
+        # still receive every row the shared operator emitted.
+        svc = TemporalJoinService()
+        a = svc.register(
+            star2(), name="a", policy=Backpressure.ERROR, buffer_size=1
+        )
+        b = svc.register(
+            star2(), name="b", policy=Backpressure.DROP_OLDEST, buffer_size=100
+        )
+        arrivals = [
+            ("R1", (1, "h"), (0, 100)),
+            ("R2", (2, "h"), (1, 2)),
+            ("R2", (3, "h"), (1, 3)),
+            ("R1", (9, "z"), (50, 60)),
+        ]
+        for relation, values, interval in arrivals[:-1]:
+            svc.append(relation, values, interval)
+        with pytest.raises(QueryError, match="overflow"):
+            svc.append(*arrivals[-1])
+        svc.finish()
+        db = {
+            "R1": TemporalRelation(
+                "R1", ("x1", "y"), [(v, iv) for r, v, iv in arrivals if r == "R1"]
+            ),
+            "R2": TemporalRelation(
+                "R2", ("x2", "y"), [(v, iv) for r, v, iv in arrivals if r == "R2"]
+            ),
+        }
+        offline = temporal_join(star2(), db).normalized()
+        assert len(offline) == 2
+        assert b.snapshot().results.normalized() == offline
+        assert b.pending == 2
+        assert a.snapshot().results.normalized() == offline
+
+    def test_block_timeouts_stall_once_and_feed_every_handle(self):
+        # Two blocking handles with no consumer: the call raises after
+        # one block_timeout, not one per handle, and both snapshots hold
+        # every row the shared operator emitted.
+        timeout = 1.0
+        svc = TemporalJoinService()
+        handles = [
+            svc.register(
+                star2(), name=name, policy=Backpressure.BLOCK,
+                buffer_size=1, block_timeout=timeout,
+            )
+            for name in ("a", "b")
+        ]
+        arrivals = [
+            ("R1", (1, "h"), (0, 100)),
+            ("R2", (2, "h"), (1, 2)),
+            ("R2", (3, "h"), (1, 3)),
+            ("R1", (9, "z"), (50, 60)),
+        ]
+        for relation, values, interval in arrivals[:-1]:
+            svc.append(relation, values, interval)
+        start = time.perf_counter()
+        with pytest.raises(QueryError, match="timeout"):
+            svc.append(*arrivals[-1])
+        assert time.perf_counter() - start < 1.8 * timeout
+        svc.finish()
+        db = {
+            "R1": TemporalRelation(
+                "R1", ("x1", "y"), [(v, iv) for r, v, iv in arrivals if r == "R1"]
+            ),
+            "R2": TemporalRelation(
+                "R2", ("x2", "y"), [(v, iv) for r, v, iv in arrivals if r == "R2"]
+            ),
+        }
+        offline = temporal_join(star2(), db).normalized()
+        assert len(offline) == 2
+        for handle in handles:
+            assert handle.snapshot().results.normalized() == offline
+            assert handle.pending == 1
 
     def test_block_policy_waits_for_consumer(self):
         svc = TemporalJoinService()
